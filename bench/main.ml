@@ -465,8 +465,8 @@ let fig14 () =
     let opt =
       match variant with
       | `Plain -> make_opt ~cache:false ()
-      | `Nn t -> make_opt ~cache:true ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor t) ()
-      | `Wa t -> make_opt ~cache:true ~lookup:(Raqo_resource.Plan_cache.Weighted_average t) ()
+      | `Nn t -> make_opt ~cache:true ~lookup:(Raqo_resource.Shared_plan_cache.Nearest_neighbor t) ()
+      | `Wa t -> make_opt ~cache:true ~lookup:(Raqo_resource.Shared_plan_cache.Weighted_average t) ()
     in
     time_planner opt Tpch.all
   in
@@ -521,7 +521,7 @@ let fig15a () =
         in
         let raqo = mk ~cache:false () in
         let raqo_ms, _ = time_planner raqo rels in
-        let cached = mk ~cache:true ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor 0.05) () in
+        let cached = mk ~cache:true ~lookup:(Raqo_resource.Shared_plan_cache.Nearest_neighbor 0.05) () in
         let cached_ms, _ = time_planner cached rels in
         [ string_of_int n; f qo_ms; f raqo_ms; f cached_ms ])
       queries
@@ -575,7 +575,7 @@ let fig15b ~full () =
             let mk () =
               Raqo.Cost_based.create ~kind:Raqo.Cost_based.Fast_randomized
                 ~randomized_params:params ~cache:true
-                ~lookup:(Raqo_resource.Plan_cache.Nearest_neighbor 0.05)
+                ~lookup:(Raqo_resource.Shared_plan_cache.Nearest_neighbor 0.05)
                 ~model:Raqo_cost.Op_cost.paper ~conditions schema
             in
             let runs = if full then 1 else 2 in
@@ -708,51 +708,6 @@ let ablation_sched () =
         ~headers:[ "policy"; "outcome"; "finish s"; "waited s"; "TB·s"; "adapted" ]
         rows;
       note "adaptive policies complete during the dip; waiting pays the dip length"
-
-(* Sorted array vs B+-tree plan-cache index at growing sizes — the paper's
-   CSB+-tree suggestion quantified. *)
-let ablation_cacheidx () =
-  let sizes = [ 1_000; 10_000; 100_000 ] in
-  let rows =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun backend ->
-            let name =
-              match backend with
-              | Raqo_resource.Ordered_index.Sorted_array -> "sorted array"
-              | Raqo_resource.Ordered_index.Btree -> "B+-tree"
-            in
-            let idx = Raqo_resource.Ordered_index.create backend in
-            let (), insert_ms =
-              Timer.time_ms (fun () ->
-                  for i = 1 to n do
-                    Raqo_resource.Ordered_index.insert idx
-                      (float_of_int ((i * 7919) mod 1_000_003))
-                      i
-                  done)
-            in
-            let (), lookup_ms =
-              Timer.time_ms (fun () ->
-                  for i = 1 to 10_000 do
-                    ignore
-                      (Raqo_resource.Ordered_index.within idx
-                         ~center:(float_of_int ((i * 131) mod 1_000_003))
-                         ~radius:50.0)
-                  done)
-            in
-            [
-              string_of_int n; name; f insert_ms; f (insert_ms /. float_of_int n *. 1e6);
-              f (lookup_ms /. 10.0);
-            ])
-          [ Raqo_resource.Ordered_index.Sorted_array; Raqo_resource.Ordered_index.Btree ])
-      sizes
-  in
-  Table.print
-    ~title:"Ablation: plan-cache index backends (random inserts + 10k range lookups)"
-    ~headers:[ "entries"; "backend"; "insert total ms"; "insert ns/op"; "lookup µs/op" ]
-    rows;
-  note "the sorted array's O(n) insert shifting loses to the B+-tree as the cache grows"
 
 (* Robust vs nominal plans under a condition shift. *)
 let ablation_robust () =
@@ -1689,14 +1644,14 @@ let micro () =
       (Staged.stage (fun () -> Raqo_resource.Hill_climb.plan Conditions.default bowlish))
   in
   let cache =
-    let c = Raqo_resource.Plan_cache.create () in
+    let c = Raqo_resource.Shared_plan_cache.create () in
     for i = 1 to 256 do
-      Raqo_resource.Plan_cache.insert c ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+      Raqo_resource.Shared_plan_cache.insert c ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
     done;
     Test.make ~name:"cache lookup (NN, 256 entries)"
       (Staged.stage (fun () ->
-           Raqo_resource.Plan_cache.find c ~key:"k" ~data_gb:77.7
-             (Raqo_resource.Plan_cache.Nearest_neighbor 1.0)))
+           Raqo_resource.Shared_plan_cache.find c ~key:"k" ~data_gb:77.7
+             (Raqo_resource.Shared_plan_cache.Nearest_neighbor 1.0)))
   in
   let selinger =
     let coster = Raqo_planner.Coster.fixed (Lazy.force model) tpch (res 10 5.0) in
@@ -2196,7 +2151,6 @@ let figures =
     ("fig15b", "scalability with cluster size", fig15b ~full:false);
     ("bushy", "ablation: left-deep vs bushy vs randomized", ablation_bushy);
     ("sched", "ablation: DAG-scheduler policies under a capacity dip", ablation_sched);
-    ("cacheidx", "ablation: plan-cache index backends", ablation_cacheidx);
     ("robust", "ablation: robust vs nominal plans", ablation_robust);
     ("pareto", "ablation: time-money Pareto front", ablation_pareto);
     ("workload", "workload-scale RAQO vs the two-step default", ablation_workload);

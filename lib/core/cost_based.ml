@@ -27,8 +27,8 @@ type t = {
 let create ?(kind = Selinger) ?(seed = 42)
     ?(randomized_params = Raqo_planner.Randomized.default_params)
     ?(resource_strategy = Resource_planner.Hill_climb) ?(pruned = false) ?(cache = true)
-    ?(lookup = Raqo_resource.Plan_cache.Exact) ?(memoize = false) ?(kernel = true)
-    ?(parallel_memo = true) ?cache_capacity ?shared_cache ?(rewrite = true)
+    ?(lookup = Raqo_resource.Shared_plan_cache.Exact) ?(memoize = false) ?(kernel = true)
+    ?(parallel_memo = true) ?shared_cache ?(rewrite = true)
     ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default) ~model
     ~conditions schema =
   {
@@ -37,7 +37,7 @@ let create ?(kind = Selinger) ?(seed = 42)
     model;
     resource_planner =
       Resource_planner.create ~strategy:resource_strategy ~pruned ~cache ~lookup ~kernel
-        ?cache_capacity ?shared_cache ~registry:metrics conditions;
+        ?shared_cache ~registry:metrics conditions;
     rng = Raqo_util.Rng.create seed;
     randomized_params;
     memoize;

@@ -35,18 +35,15 @@ type t
     (the CLI's [--no-kernel]) forces the scalar path; extended-space models
     never compile and use it regardless.
 
-    [cache_capacity] bounds the resource-plan cache with LRU eviction
-    ({!Raqo_resource.Plan_cache.create}); omitted keeps it unbounded.
-
     [parallel_memo] (default [true]) lets {!optimize_par} run the [Bushy_dp]
     enumeration on the shared-memo parallel DP
     ({!Raqo_planner.Dpsub.optimize_par_masked}); [false] pins it to the
     sequential sweep regardless of the pool.
 
-    [shared_cache] plugs the embedded resource planner into a striped,
-    thread-safe cross-query plan cache instead of a private one (see
-    {!Raqo_resource.Shared_plan_cache}): every fork handed to parallel
-    workers keeps the same handle, so concurrent optimizers warm each other.
+    [shared_cache] makes the embedded resource planner borrow a cross-query
+    {!Raqo_resource.Shared_plan_cache} instead of owning one: every fork
+    handed to parallel workers keeps the same cache, so concurrent
+    optimizers warm each other.
 
     [rewrite] (default [true]) runs the {!Raqo_rewrite.Rewrite} logical
     memo over every query before enumeration in {!optimize},
@@ -75,11 +72,10 @@ val create :
   ?resource_strategy:Raqo_resource.Resource_planner.strategy ->
   ?pruned:bool ->
   ?cache:bool ->
-  ?lookup:Raqo_resource.Plan_cache.lookup ->
+  ?lookup:Raqo_resource.Shared_plan_cache.lookup ->
   ?memoize:bool ->
   ?kernel:bool ->
   ?parallel_memo:bool ->
-  ?cache_capacity:int ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
   ?rewrite:bool ->
   ?rewrite_hints:Raqo_rewrite.Rewrite.hints ->

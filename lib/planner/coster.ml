@@ -86,6 +86,17 @@ let feasible_start model impl ~small_gb (conditions : Raqo_cluster.Conditions.t)
              ~container_gb:(Float.min conditions.max_gb gb))
       end
 
+(* The resource-plan cache keys of [model]: a digest of the whole model
+   (feature space, coefficients, OOM headroom, floor) plus the join
+   implementation, so planners costing against different models (hive and
+   spark requests on one server) never answer each other's lookups. Built
+   once per coster, not per costed join. *)
+let cache_keys model =
+  let digest = Digest.to_hex (Digest.string (Marshal.to_string model [ Marshal.No_sharing ])) in
+  let key impl = digest ^ "/" ^ Join_impl.to_string impl ^ "/join" in
+  let smj = key Join_impl.Smj and bhj = key Join_impl.Bhj in
+  function Join_impl.Smj -> smj | Join_impl.Bhj -> bhj
+
 (* Resource-plan one join implementation: smallest feasible start config,
    cost-model closure, and — for pruned planners — the monotone lower bound
    branch-and-bound consults. Shared by the string and masked RAQO costers.
@@ -93,12 +104,12 @@ let feasible_start model impl ~small_gb (conditions : Raqo_cluster.Conditions.t)
    {!Raqo_cost.Kernel.t} for this (impl, small_gb) pair — compilation is a
    handful of multiplies, so it is done per costed join; extended-space
    models yield no kernel and keep the scalar path throughout. *)
-let raqo_impl model planner ~small_gb best impl =
+let raqo_impl model ~keys planner ~small_gb best impl =
   let conditions = Raqo_resource.Resource_planner.conditions planner in
   match feasible_start model impl ~small_gb conditions with
   | None -> best
   | Some start ->
-      let key = Join_impl.to_string impl ^ "/join" in
+      let key = keys impl in
       let cost_fn resources = Op_cost.predict_exn model impl ~small_gb ~resources in
       let bound = Op_cost.region_lower_bound model impl ~small_gb in
       let kernel =
@@ -113,10 +124,10 @@ let raqo_impl model planner ~small_gb best impl =
       pick_cheaper best (finite_choice impl resources cost)
 
 let raqo model schema planner =
-  let size = memoized_size schema in
+  let size = memoized_size schema and keys = cache_keys model in
   let best_join ~left ~right =
     let small_gb = Float.min (size left) (size right) in
-    List.fold_left (raqo_impl model planner ~small_gb) None Join_impl.all
+    List.fold_left (raqo_impl model ~keys planner ~small_gb) None Join_impl.all
   in
   { best_join; name = "raqo" }
 
@@ -222,10 +233,10 @@ let fixed_masked model ctx resources =
   { best_join_masked; masked_name = "qo-fixed-resources" }
 
 let raqo_masked model ctx planner =
-  let size = memoized_size_masked ctx in
+  let size = memoized_size_masked ctx and keys = cache_keys model in
   let best_join_masked ~left ~right =
     let small_gb = Float.min (size left) (size right) in
-    List.fold_left (raqo_impl model planner ~small_gb) None Join_impl.all
+    List.fold_left (raqo_impl model ~keys planner ~small_gb) None Join_impl.all
   in
   { best_join_masked; masked_name = "raqo" }
 

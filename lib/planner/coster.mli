@@ -47,7 +47,9 @@ val fixed :
     (implementation, size) into {!Raqo_cost.Kernel.t} values and resource
     search runs on the bit-identical kernel path — same plans and costs,
     allocation-free grid sweeps; extended-space models keep the scalar
-    path. *)
+    path. Resource-plan cache keys carry a digest of [model] as well as the
+    implementation, so one cache serves several models without mixing
+    their answers. *)
 val raqo :
   Raqo_cost.Op_cost.t ->
   Raqo_catalog.Schema.t ->

@@ -2,17 +2,16 @@ module Kernel = Raqo_cost.Kernel
 
 type strategy = Brute_force | Hill_climb
 
-(* The cache behind [plan]: either the historical private Plan_cache (one
-   per planner, single-writer) or a handle to a striped cross-query cache a
-   resident server shares between all its concurrent planners. *)
-type cache_handle = Private of Plan_cache.t | Shared of Shared_plan_cache.t
-
+(* The cache behind [plan], and whether this planner owns it: an owned cache
+   is per-planner state (forks get a fresh one, [clear_cache] empties it); a
+   borrowed one belongs to a resident server and is shared by every fork. *)
 type t = {
   conditions : Raqo_cluster.Conditions.t;
   strategy : strategy;
   pruned : bool;
-  cache : cache_handle option;
-  lookup : Plan_cache.lookup;
+  cache : Shared_plan_cache.t option;
+  owned : bool;
+  lookup : Shared_plan_cache.lookup;
   counters : Counters.t;
   pool : Raqo_par.Pool.t option;
   use_kernel : bool;
@@ -20,18 +19,17 @@ type t = {
 }
 
 let create ?(strategy = Hill_climb) ?(pruned = false) ?(cache = true)
-    ?(lookup = Plan_cache.Exact) ?counters ?pool ?(kernel = true) ?cache_capacity
-    ?shared_cache ?registry conditions =
+    ?(lookup = Shared_plan_cache.Exact) ?counters ?pool ?(kernel = true) ?shared_cache
+    ?registry conditions =
   {
     conditions;
     strategy;
     pruned;
     cache =
       (match shared_cache with
-      | Some shared -> Some (Shared shared)
-      | None ->
-          if cache then Some (Private (Plan_cache.create ?capacity:cache_capacity ()))
-          else None);
+      | Some _ -> shared_cache
+      | None -> if cache then Some (Shared_plan_cache.create ()) else None);
+    owned = Option.is_none shared_cache;
     lookup;
     counters = (match counters with Some k -> k | None -> Counters.create ?registry ());
     pool;
@@ -43,23 +41,20 @@ let conditions t = t.conditions
 let with_conditions t conditions = { t with conditions }
 
 (* A private copy for another domain (or another restart): same
-   configuration and shared counters, but fresh single-writer state — a new
-   private cache and, critically, fresh kernel scratch. A shared striped
-   cache is synchronized and cross-query by design, so forks keep the same
-   handle: that sharing is the point of a resident server. *)
+   configuration and shared counters, but fresh single-domain state — a new
+   owned cache and, critically, fresh kernel scratch. A borrowed cache is
+   cross-query by design, so forks keep it: that sharing is the point of a
+   resident server. *)
 let fork t =
   {
     t with
     cache =
       (match t.cache with
-      | Some (Private cache) ->
-          Some
-            (Private
-               (Plan_cache.create ~backend:(Plan_cache.backend cache)
-                  ?capacity:(Plan_cache.capacity cache) ()))
-      | (Some (Shared _) | None) as cache -> cache);
+      | Some _ when t.owned -> Some (Shared_plan_cache.create ())
+      | cache -> cache);
     scratch = Kernel.create_scratch ();
   }
+
 let pruned t = t.pruned
 let kernel_enabled t = t.use_kernel
 let scratch t = t.scratch
@@ -117,22 +112,8 @@ let search ?start ?bound ?kernel t cost =
 let plan ?start ?bound ?kernel t ~key ~data_gb ~cost =
   match t.cache with
   | None -> search ?start ?bound ?kernel t cost
-  | Some handle -> begin
-      (* The shared handle records hits/misses in the planner's own counters
-         too (the striped cache's internal counters are the cross-planner
-         aggregate), so per-request instrumentation reads the same either
-         way. *)
-      let found =
-        match handle with
-        | Private cache -> Plan_cache.find ~counters:t.counters cache ~key ~data_gb t.lookup
-        | Shared shared ->
-            let r = Shared_plan_cache.find shared ~key ~data_gb t.lookup in
-            (match r with
-            | Some _ -> Counters.record_hit t.counters
-            | None -> Counters.record_miss t.counters);
-            r
-      in
-      match found with
+  | Some cache -> begin
+      match Shared_plan_cache.find ~counters:t.counters cache ~key ~data_gb t.lookup with
       | Some cached ->
           let cached = Raqo_cluster.Conditions.clamp t.conditions cached in
           Counters.record_evaluation t.counters;
@@ -144,27 +125,20 @@ let plan ?start ?bound ?kernel t ~key ~data_gb ~cost =
           (cached, c)
       | None ->
           let resources, best = search ?start ?bound ?kernel t cost in
-          (match handle with
-          | Private cache -> Plan_cache.insert ~counters:t.counters cache ~key ~data_gb resources
-          | Shared shared -> Shared_plan_cache.insert shared ~key ~data_gb resources);
+          Shared_plan_cache.insert ~counters:t.counters cache ~key ~data_gb resources;
           (resources, best)
     end
 
 let counters t = t.counters
 let reset_counters t = Counters.reset t.counters
-let cache t = match t.cache with Some (Private cache) -> Some cache | Some (Shared _) | None -> None
-let shared_cache t = match t.cache with Some (Shared s) -> Some s | Some (Private _) | None -> None
+let cache t = t.cache
 let lookup t = t.lookup
 
-(* Clearing is scoped to state this planner owns: a shared cross-query cache
-   belongs to the server, so per-query resets must not wipe it. *)
+(* Clearing is scoped to state this planner owns: a borrowed cross-query
+   cache belongs to the server, so per-query resets must not wipe it. *)
 let clear_cache t =
   match t.cache with
-  | Some (Private cache) -> Plan_cache.clear cache
-  | Some (Shared _) | None -> ()
+  | Some cache when t.owned -> Shared_plan_cache.clear cache
+  | Some _ | None -> ()
 
-let cache_size t =
-  match t.cache with
-  | Some (Private cache) -> Plan_cache.size cache
-  | Some (Shared shared) -> Shared_plan_cache.size shared
-  | None -> 0
+let cache_size t = match t.cache with Some cache -> Shared_plan_cache.size cache | None -> 0

@@ -20,9 +20,7 @@ type t
     [pool] parallelizes the unpruned brute-force grid search across its
     domains (pruned search is sequential — its incumbent is inherently
     serial — and hill climbing ignores the pool too). The cache, when
-    enabled, is private to this planner and must only be touched from one
-    domain at a time — cache sharing across concurrent queries stays opt-in
-    and single-domain.
+    enabled, is an unbounded {!Shared_plan_cache} this planner owns.
 
     [kernel] (default [true]) lets {!plan} use compiled cost kernels when
     the caller supplies one: grid sweeps and hill-climb probes run through
@@ -33,24 +31,20 @@ type t
     Kernelised grid searches are single-domain: they ignore [pool], which
     only shapes the scalar fallback.
 
-    [cache_capacity] bounds the plan cache with LRU eviction (see
-    {!Plan_cache.create}); omitted means unbounded, the paper's behaviour.
-
-    [shared_cache] replaces the private per-planner cache with a handle to a
-    striped, thread-safe cross-query cache ({!Shared_plan_cache}) owned by a
-    resident server: {!fork} then shares the handle instead of starting
-    empty, and [cache]/[cache_capacity] are ignored. [registry] directs the
+    [shared_cache] makes the planner borrow a cross-query cache owned by a
+    resident server instead of owning one: {!fork} then shares it instead of
+    starting empty, {!clear_cache} leaves it alone, and [cache] is ignored.
+    [registry] directs the
     planner's counter mirrors at a per-server metrics registry when
     [counters] is not supplied (see {!Counters.create}). *)
 val create :
   ?strategy:strategy ->
   ?pruned:bool ->
   ?cache:bool ->
-  ?lookup:Plan_cache.lookup ->
+  ?lookup:Shared_plan_cache.lookup ->
   ?counters:Counters.t ->
   ?pool:Raqo_par.Pool.t ->
   ?kernel:bool ->
-  ?cache_capacity:int ->
   ?shared_cache:Shared_plan_cache.t ->
   ?registry:Raqo_obs.Metrics.registry ->
   Raqo_cluster.Conditions.t ->
@@ -77,11 +71,10 @@ val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 
 (** [fork t] is a private copy for another domain or restart: identical
     configuration (strategy, pruning, lookup, kernel setting, conditions)
-    and shared atomic counters, but a fresh, empty plan cache (same backend
-    and capacity bound) and fresh kernel scratch — the two pieces of
-    single-writer state. A planner created over a [shared_cache] keeps the
-    same (synchronized) handle across forks — cross-query, cross-domain
-    reuse is what the shared cache is for. With the default exact-match
+    and shared atomic counters, but a fresh, empty owned plan cache and
+    fresh kernel scratch — the two pieces of per-planner state. A planner
+    created over a [shared_cache] keeps that cache across forks —
+    cross-query, cross-domain reuse is what borrowing it is for. With the default exact-match
     cache lookup a fork returns the same (configuration, cost) answers as
     the original, so parallel planners hand one fork to each worker. *)
 val fork : t -> t
@@ -125,23 +118,18 @@ val counters : t -> Counters.t
 (** [reset_counters t] zeroes instrumentation (the cache is preserved). *)
 val reset_counters : t -> unit
 
-(** [clear_cache t] empties the private resource-plan cache (between
+(** [clear_cache t] empties an owned resource-plan cache (between
     queries, as the evaluation does unless measuring across-query caching).
-    A shared handle is left untouched: the cross-query cache belongs to its
+    A borrowed cache is left untouched: the cross-query cache belongs to its
     server, not to any one planner. *)
 val clear_cache : t -> unit
 
 val cache_size : t -> int
 
-(** [cache t] exposes the underlying private resource-plan cache ([None]
-    when caching is disabled or the planner uses a shared handle) so the
-    verification layer can audit lookup answers against the stored entries.
-    Read-only use only. *)
-val cache : t -> Plan_cache.t option
-
-(** [shared_cache t] is the striped cross-query cache handle, when this
-    planner was created with one. *)
-val shared_cache : t -> Shared_plan_cache.t option
+(** [cache t] is the resource-plan cache, owned or borrowed ([None] when
+    caching is disabled), so the verification layer can audit lookup answers
+    against the stored entries. Read-only use only. *)
+val cache : t -> Shared_plan_cache.t option
 
 (** [lookup t] is the lookup policy this planner queries its cache with. *)
-val lookup : t -> Plan_cache.lookup
+val lookup : t -> Shared_plan_cache.lookup

@@ -1,73 +1,74 @@
-(** A sharded, thread-safe, cross-query resource-plan cache.
+(** The resource-plan cache (paper Section VI-B3): for each cache key — a
+    (cost model, sub-plan kind) pair — an in-memory sorted index from data
+    characteristics (the smaller input size) to the best resource
+    configuration previously computed for them ({!Ordered_index}, the
+    paper's sorted array).
 
-    {!Plan_cache} is deliberately unsynchronized (single-writer, one per
-    planner); a resident optimizer serving concurrent requests instead
-    shares one of these: a striped wrapper that routes every entry of a
-    cache key to one shard (so nearest-neighbor and weighted-average range
-    lookups stay correct under a single shard lock) and lets distinct keys
-    proceed in parallel.
+    One type serves every use. A planner that owns its cache touches it from
+    one domain; a resident optimizer hands one cache to all its concurrent
+    planners. Either way every operation runs under the cache's single
+    mutex, so range lookups (nearest neighbor, weighted average) always see
+    a consistent index.
 
-    The LRU bound is {e per shard}: a total [capacity] is split evenly
-    across shards and enforced by each shard's own {!Plan_cache} bound, so a
-    hot shard evicts independently of a cold one and the whole structure
-    never holds more than [shards * per_shard_capacity] entries.
-
-    Hit/miss/eviction/insert counts are always recorded in lock-free sharded
-    cells (exact once concurrent sections have joined); when
-    {!Raqo_obs.Obs.enabled} is on they also mirror into the metrics registry
-    the cache was created against, under
-    [raqo_shared_plan_cache_{hits,misses,evictions,inserts}_total] and the
-    [raqo_shared_plan_cache_entries] gauge — distinct names from the
+    An optional [capacity] bounds the total entry count with LRU eviction.
+    Hit/miss/eviction/insert counts are kept per cache. A cache created with
+    a [registry] also mirrors them, when {!Raqo_obs.Obs.enabled} is on,
+    under [raqo_shared_plan_cache_{hits,misses,evictions,inserts}_total] and
+    the [raqo_shared_plan_cache_entries] gauge — distinct names from the
     per-planner {!Counters} mirrors, so `raqo metrics --prometheus` shows
-    both the per-request and the shared-structure view. *)
+    both the per-request and the shared-structure view. A cache created
+    without one publishes nothing. *)
 
 type t
 
-(** [create ()] builds an empty cache with 8 shards, the paper's sorted-array
-    backend and no capacity bound. [capacity] is the {e total} entry bound,
-    split evenly into per-shard LRU bounds of [ceil (capacity / shards)].
-    [registry] receives the observability mirrors (default: the process-wide
-    registry).
-    @raise Invalid_argument when [shards < 1] or [capacity < 1]. *)
-val create :
-  ?backend:Ordered_index.backend ->
-  ?shards:int ->
-  ?capacity:int ->
-  ?registry:Raqo_obs.Metrics.registry ->
-  unit ->
-  t
+(** Cache lookup policies, in the paper's terms. Thresholds are in the data
+    characteristic's unit (GB of smaller input). *)
+type lookup =
+  | Exact  (** hit only on an exactly matching data characteristic *)
+  | Nearest_neighbor of float
+      (** hit on the closest entry within the threshold (paper: HC+Caching_NN) *)
+  | Weighted_average of float
+      (** inverse-distance-weighted average of the entries within the
+          threshold (paper: HC+Caching_WA) *)
 
-val shard_count : t -> int
+(** [create ()] builds an empty cache. [capacity] bounds the total entry
+    count across keys: inserting past it evicts least-recently-used entries
+    (recency is refreshed by inserts and by every lookup that consults the
+    entry — exact hits, the nearest-neighbor match, and each
+    weighted-average contributor). The default keeps the paper's unbounded
+    behaviour, with no recency bookkeeping on the lookup path. [registry]
+    receives the observability mirrors; without one there are none.
+    @raise Invalid_argument if [capacity < 1]. *)
+val create : ?capacity:int -> ?registry:Raqo_obs.Metrics.registry -> unit -> t
 
-(** [per_shard_capacity t] is the LRU bound each shard enforces, if any. *)
-val per_shard_capacity : t -> int option
+(** [find t ~key ~data_gb lookup] queries the index for [key] (e.g.
+    ["<model>/SMJ/join"]). Records a hit or miss in [t]'s own counters and,
+    when given, in [counters]. *)
+val find :
+  ?counters:Counters.t ->
+  t ->
+  key:string ->
+  data_gb:float ->
+  lookup ->
+  Raqo_cluster.Resources.t option
 
-val backend : t -> Ordered_index.backend
+(** [insert t ~key ~data_gb resources] records a freshly planned
+    configuration. Re-inserting an existing data characteristic overwrites.
+    On a capacity-bounded cache, inserting a new entry past the bound evicts
+    the least-recently-used entries, counted against [t] and, when given,
+    [counters]. *)
+val insert :
+  ?counters:Counters.t -> t -> key:string -> data_gb:float -> Raqo_cluster.Resources.t -> unit
 
-(** [shard_of t ~key] is the shard index [key] routes to (all data
-    characteristics of one key share a shard; test hook). *)
-val shard_of : t -> key:string -> int
+(** [clear t] empties the cache (the evaluation clears it between queries
+    unless measuring across-query caching). *)
+val clear : t -> unit
 
-(** [find t ~key ~data_gb lookup] is {!Plan_cache.find} under the owning
-    shard's lock. Records a hit or miss in [t]'s own counters (callers that
-    also keep per-planner {!Counters} record there themselves). *)
-val find : t -> key:string -> data_gb:float -> Plan_cache.lookup -> Raqo_cluster.Resources.t option
-
-(** [insert t ~key ~data_gb resources] is {!Plan_cache.insert} under the
-    owning shard's lock; evictions forced by the per-shard bound are counted
-    against [t]. *)
-val insert : t -> key:string -> data_gb:float -> Raqo_cluster.Resources.t -> unit
-
-(** [size t] is the total entry count across shards (locks each shard in
-    turn: a consistent value only once concurrent writers have joined). *)
+(** [size t] is the total number of entries across keys. *)
 val size : t -> int
 
-(** [shard_sizes t] is the per-shard entry count, index-aligned with
-    {!shard_of} — the hook the LRU-bound tests check against
-    {!per_shard_capacity}. *)
+(** [shard_sizes t] is [[| size t |]]: the cache is one shard. *)
 val shard_sizes : t -> int array
-
-val clear : t -> unit
 
 (** {2 Counters} — cumulative since creation, never reset by {!clear}. *)
 
@@ -78,5 +79,15 @@ val inserts : t -> int
 
 (** {2 Verification hooks} *)
 
+(** [keys t] lists the distinct cache keys, sorted. *)
 val keys : t -> string list
+
+(** [entries t ~key] is [key]'s index content in ascending data-characteristic
+    order — the ground truth the verification layer checks lookups against. *)
 val entries : t -> key:string -> (float * Raqo_cluster.Resources.t) list
+
+(** [exact_epsilon ~data_gb] is the tolerance under which two data
+    characteristics are treated as the same measurement (the weighted-average
+    lookup returns such an entry outright instead of letting its near-zero
+    distance swamp the inverse-distance weights). *)
+val exact_epsilon : data_gb:float -> float

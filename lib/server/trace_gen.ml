@@ -5,11 +5,14 @@
    paper's Figure 1 queue — so the served load has realistic bursts rather
    than a uniform drip. Each arrival is mapped to a planning request drawn
    from a TPC-H mix: the SQL evaluation queries plus join-graph specs over
-   the Section VII relation sets, across planner kinds and modes. *)
+   the Section VII relation sets, across planner kinds, modes and both
+   engine profiles (hive and spark cost models). *)
 
-(* SQL texts resolvable against the TPC-H catalog; selections vary the
-   filter-scaled schema, so distinct entries exercise distinct cache keys
-   while repeats of one entry hit the shared plan cache. *)
+(* SQL texts resolvable against the TPC-H catalog: every predicate follows
+   a join-graph edge (part and supplier reach lineitem only through
+   partsupp). Selections vary the filter-scaled schema, so distinct entries
+   exercise distinct cache keys while repeats of one entry hit the shared
+   plan cache. *)
 let sql_pool =
   [|
     "select * from orders, lineitem where o_orderkey = l_orderkey";
@@ -17,12 +20,13 @@ let sql_pool =
      o_orderkey = l_orderkey";
     "select * from customer, orders, lineitem where c_custkey = o_custkey and \
      o_orderkey = l_orderkey and o_totalprice < 50000";
-    "select * from customer, orders, lineitem, supplier where c_custkey = o_custkey \
-     and o_orderkey = l_orderkey and l_suppkey = s_suppkey";
-    "select * from part, lineitem, orders where p_partkey = l_partkey and \
-     l_orderkey = o_orderkey";
-    "select * from part, lineitem, orders where p_partkey = l_partkey and \
-     l_orderkey = o_orderkey and p_retailprice < 1500";
+    "select * from customer, orders, lineitem, partsupp, supplier where c_custkey = \
+     o_custkey and o_orderkey = l_orderkey and ps_partkey = l_partkey and s_suppkey = \
+     ps_suppkey";
+    "select * from part, partsupp, lineitem, orders where p_partkey = ps_partkey and \
+     ps_partkey = l_partkey and l_orderkey = o_orderkey";
+    "select * from part, partsupp, lineitem, orders where p_partkey = ps_partkey and \
+     ps_partkey = l_partkey and l_orderkey = o_orderkey and p_retailprice < 1500";
   |]
 
 let relations_pool =
@@ -42,6 +46,8 @@ let request_of rng i : Protocol.request =
       Protocol.Qo (Raqo_cluster.Resources.make ~containers:20 ~container_gb:4.0)
     else Protocol.Raqo
   in
+  (* Both engine profiles, so one served trace mixes cost models. *)
+  let engine = Raqo_util.Rng.pick rng [| "hive"; "spark" |] in
   {
     Protocol.id = Printf.sprintf "t%04d" i;
     payload;
@@ -52,7 +58,7 @@ let request_of rng i : Protocol.request =
     seed = 42 + Raqo_util.Rng.int rng 4;
     adaptive = false;
     est_error = Raqo_execsim.Estimation_error.exact;
-    engine = "hive";
+    engine;
     tenant = None;
   }
 

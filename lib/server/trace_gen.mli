@@ -2,8 +2,12 @@
     served-vs-oneshot smoke test. Arrivals reuse the Poisson/Pareto workload
     generator behind {!Raqo_cluster.Queue_sim} (the paper's Figure 1 queue);
     requests mix the TPC-H SQL evaluation queries, Section VII join-graph
-    specs, the three planner kinds, and an occasional query-only baseline.
-    Deterministic in [seed]. *)
+    specs, the three planner kinds, both engine profiles (hive and spark),
+    and an occasional query-only baseline. Deterministic in [seed]. *)
+
+(** The SQL texts requests draw from; each resolves against the TPC-H
+    catalog and plans [ok]. *)
+val sql_pool : string array
 
 (** [generate ?seed ?arrival_rate ~requests ()] draws [requests] arrivals
     ([arrival_rate] per second, default 2.0) paired with planning requests,

@@ -5,7 +5,7 @@ module Conditions = Raqo_cluster.Conditions
 module Schema = Raqo_catalog.Schema
 module Join_graph = Raqo_catalog.Join_graph
 module Op_cost = Raqo_cost.Op_cost
-module Plan_cache = Raqo_resource.Plan_cache
+module Shared_plan_cache = Raqo_resource.Shared_plan_cache
 module D = Diagnostic
 
 let names xs = String.concat " " xs
@@ -150,25 +150,25 @@ let check_pareto ~objective ~describe items =
 (* ----------------------------------------------------------------- cache *)
 
 let check_cache_lookup cache ~key ~data_gb lookup =
-  let result = Plan_cache.find cache ~key ~data_gb lookup in
-  let entries = Plan_cache.entries cache ~key in
+  let result = Shared_plan_cache.find cache ~key ~data_gb lookup in
+  let entries = Shared_plan_cache.entries cache ~key in
   let dist k = Float.abs (k -. data_gb) in
   let in_radius radius = List.filter (fun (k, _) -> dist k <= radius) entries in
   let fail invariant fmt = D.v ~invariant fmt in
   match (lookup, result) with
-  | Plan_cache.Exact, None ->
+  | Shared_plan_cache.Exact, None ->
       if List.exists (fun (k, _) -> k = data_gb) entries then
         [ fail "cache/exact-missed" "%s: exact entry at %g not returned" key data_gb ]
       else []
-  | Plan_cache.Exact, Some r ->
+  | Shared_plan_cache.Exact, Some r ->
       if List.exists (fun (k, v) -> k = data_gb && Resources.equal v r) entries then []
       else
         [ fail "cache/exact-wrong" "%s: returned %s, no exact entry at %g matches" key
             (Resources.to_string r) data_gb ]
-  | Plan_cache.Nearest_neighbor radius, None ->
+  | Shared_plan_cache.Nearest_neighbor radius, None ->
       if in_radius radius = [] then []
       else [ fail "cache/nn-missed" "%s: entries within %g of %g but no answer" key radius data_gb ]
-  | Plan_cache.Nearest_neighbor radius, Some r -> begin
+  | Shared_plan_cache.Nearest_neighbor radius, Some r -> begin
       match in_radius radius with
       | [] ->
           [ fail "cache/nn-out-of-radius" "%s: answered %s with no entry within %g of %g" key
@@ -180,16 +180,16 @@ let check_cache_lookup cache ~key ~data_gb lookup =
             [ fail "cache/nn-not-nearest" "%s: %s is not a nearest entry to %g (dmin %g)" key
                 (Resources.to_string r) data_gb dmin ]
     end
-  | Plan_cache.Weighted_average radius, None ->
+  | Shared_plan_cache.Weighted_average radius, None ->
       if in_radius radius = [] then []
       else [ fail "cache/wa-missed" "%s: entries within %g of %g but no answer" key radius data_gb ]
-  | Plan_cache.Weighted_average radius, Some r -> begin
+  | Shared_plan_cache.Weighted_average radius, Some r -> begin
       match in_radius radius with
       | [] ->
           [ fail "cache/wa-out-of-radius" "%s: answered %s with no entry within %g of %g" key
               (Resources.to_string r) radius data_gb ]
       | close -> begin
-          let eps = Plan_cache.exact_epsilon ~data_gb in
+          let eps = Shared_plan_cache.exact_epsilon ~data_gb in
           match List.find_opt (fun (k, _) -> dist k <= eps) close with
           | Some (_, exact) ->
               if Resources.equal r exact then []

@@ -64,8 +64,8 @@ val check_pareto :
     when one exists and otherwise lie within the convex hull of the
     in-radius entries; and no lookup may answer from outside its radius. *)
 val check_cache_lookup :
-  Raqo_resource.Plan_cache.t ->
+  Raqo_resource.Shared_plan_cache.t ->
   key:string ->
   data_gb:float ->
-  Raqo_resource.Plan_cache.lookup ->
+  Raqo_resource.Shared_plan_cache.lookup ->
   Diagnostic.t list

@@ -15,7 +15,7 @@ module Exhaustive = Raqo_planner.Exhaustive
 module Randomized = Raqo_planner.Randomized
 module Heuristics = Raqo_planner.Heuristics
 module Resource_planner = Raqo_resource.Resource_planner
-module Plan_cache = Raqo_resource.Plan_cache
+module Shared_plan_cache = Raqo_resource.Shared_plan_cache
 module Pool = Raqo_par.Pool
 module Engine = Raqo_execsim.Engine
 module Simulate = Raqo_execsim.Simulate
@@ -498,7 +498,7 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
   | Some cache ->
       List.iter
         (fun key ->
-          let entry_keys = List.map fst (Plan_cache.entries cache ~key) in
+          let entry_keys = List.map fst (Shared_plan_cache.entries cache ~key) in
           let probes =
             List.sort_uniq compare
               (List.concat_map (fun k -> [ k; k +. 0.05; k *. (1.0 +. 1e-12) ]) entry_keys
@@ -508,9 +508,13 @@ let check ?(jobs = [ 2; 4 ]) ?(fault = no_fault) t =
             (fun data_gb ->
               List.iter
                 (fun lookup -> add (Invariant.check_cache_lookup cache ~key ~data_gb lookup))
-                [ Plan_cache.Exact; Plan_cache.Nearest_neighbor 0.5; Plan_cache.Weighted_average 0.5 ])
+                [
+                  Shared_plan_cache.Exact;
+                  Shared_plan_cache.Nearest_neighbor 0.5;
+                  Shared_plan_cache.Weighted_average 0.5;
+                ])
             probes)
-        (Plan_cache.keys cache));
+        (Shared_plan_cache.keys cache));
 
   (* ---------------------------------------------------- logical rewrite arms *)
   (* The rewrite memo's contract, per seed. No-op hints (no filters,

@@ -6,7 +6,7 @@ module Conditions = Raqo_cluster.Conditions
 module Counters = Raqo_resource.Counters
 module Brute_force = Raqo_resource.Brute_force
 module Hill_climb = Raqo_resource.Hill_climb
-module Plan_cache = Raqo_resource.Plan_cache
+module Shared_plan_cache = Raqo_resource.Shared_plan_cache
 module Resource_planner = Raqo_resource.Resource_planner
 
 let res nc gb = Resources.make ~containers:nc ~container_gb:gb
@@ -248,40 +248,40 @@ let prop_hill_climb_never_beats_brute_force =
 (* ------------------------------------------------------------ Plan cache *)
 
 let test_cache_exact_hit_miss () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"smj" ~data_gb:3.0 (res 10 2.0);
-  (match Plan_cache.find cache ~key:"smj" ~data_gb:3.0 Plan_cache.Exact with
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"smj" ~data_gb:3.0 (res 10 2.0);
+  (match Shared_plan_cache.find cache ~key:"smj" ~data_gb:3.0 Shared_plan_cache.Exact with
   | Some r -> Alcotest.(check int) "hit" 10 r.Resources.containers
   | None -> Alcotest.fail "expected hit");
   Alcotest.(check bool) "miss on other size" true
-    (Plan_cache.find cache ~key:"smj" ~data_gb:3.1 Plan_cache.Exact = None);
+    (Shared_plan_cache.find cache ~key:"smj" ~data_gb:3.1 Shared_plan_cache.Exact = None);
   Alcotest.(check bool) "miss on other key" true
-    (Plan_cache.find cache ~key:"bhj" ~data_gb:3.0 Plan_cache.Exact = None)
+    (Shared_plan_cache.find cache ~key:"bhj" ~data_gb:3.0 Shared_plan_cache.Exact = None)
 
 let test_cache_overwrite () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 9 9.0);
-  (match Plan_cache.find cache ~key:"k" ~data_gb:1.0 Plan_cache.Exact with
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 9 9.0);
+  (match Shared_plan_cache.find cache ~key:"k" ~data_gb:1.0 Shared_plan_cache.Exact with
   | Some r -> Alcotest.(check int) "overwritten" 9 r.Resources.containers
   | None -> Alcotest.fail "hit expected");
-  Alcotest.(check int) "still one entry" 1 (Plan_cache.size cache)
+  Alcotest.(check int) "still one entry" 1 (Shared_plan_cache.size cache)
 
 let test_cache_nearest_neighbor () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 10 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 20 2.0);
-  (match Plan_cache.find cache ~key:"k" ~data_gb:1.9 (Plan_cache.Nearest_neighbor 0.5) with
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 10 1.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 20 2.0);
+  (match Shared_plan_cache.find cache ~key:"k" ~data_gb:1.9 (Shared_plan_cache.Nearest_neighbor 0.5) with
   | Some r -> Alcotest.(check int) "closest is 2.0" 20 r.Resources.containers
   | None -> Alcotest.fail "hit expected");
   Alcotest.(check bool) "outside threshold misses" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:3.0 (Plan_cache.Nearest_neighbor 0.5) = None)
+    (Shared_plan_cache.find cache ~key:"k" ~data_gb:3.0 (Shared_plan_cache.Nearest_neighbor 0.5) = None)
 
 let test_cache_weighted_average () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 10 2.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 30 4.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:2.0 (Plan_cache.Weighted_average 1.5) with
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 10 2.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 30 4.0);
+  match Shared_plan_cache.find cache ~key:"k" ~data_gb:2.0 (Shared_plan_cache.Weighted_average 1.5) with
   | Some r ->
       (* Equidistant: plain average. *)
       Alcotest.(check int) "containers averaged" 20 r.Resources.containers;
@@ -289,10 +289,10 @@ let test_cache_weighted_average () =
   | None -> Alcotest.fail "hit expected"
 
 let test_cache_weighted_average_prefers_exact () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 7 7.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.5 (res 9 9.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 7 7.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.5 (res 9 9.0);
+  match Shared_plan_cache.find cache ~key:"k" ~data_gb:2.0 (Shared_plan_cache.Weighted_average 1.0) with
   | Some r -> Alcotest.(check int) "exact wins" 7 r.Resources.containers
   | None -> Alcotest.fail "hit expected"
 
@@ -301,11 +301,11 @@ let test_cache_weighted_average_epsilon_exact_guard () =
      used to get inverse-distance weight 1/d with d a few ulps, swamping all
      other entries through a lossy blend. The epsilon guard must treat it as
      an exact hit and return it verbatim. *)
-  let cache = Plan_cache.create () in
+  let cache = Shared_plan_cache.create () in
   let near_exact = Float.succ 2.0 in
-  Plan_cache.insert cache ~key:"k" ~data_gb:near_exact (res 8 4.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.5 (res 2 1.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:2.0 (Plan_cache.Weighted_average 1.0) with
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:near_exact (res 8 4.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.5 (res 2 1.0);
+  match Shared_plan_cache.find cache ~key:"k" ~data_gb:2.0 (Shared_plan_cache.Weighted_average 1.0) with
   | Some r ->
       Alcotest.(check bool)
         (Printf.sprintf "near-exact entry returned verbatim (got %s)" (Resources.to_string r))
@@ -317,49 +317,49 @@ let test_cache_weighted_average_denormal_distance () =
   (* Regression: with an unguarded 1/d, a denormal distance overflows the
      weight to infinity and the average to nan, which [Resources.make]
      rejects — the lookup used to raise instead of answering. *)
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1e-310 (res 8 4.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:0.3 (res 2 1.0);
-  match Plan_cache.find cache ~key:"k" ~data_gb:0.0 (Plan_cache.Weighted_average 0.5) with
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1e-310 (res 8 4.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:0.3 (res 2 1.0);
+  match Shared_plan_cache.find cache ~key:"k" ~data_gb:0.0 (Shared_plan_cache.Weighted_average 0.5) with
   | Some r -> Alcotest.(check bool) "near-exact entry wins" true (Resources.equal r (res 8 4.0))
   | None -> Alcotest.fail "hit expected"
 
 let test_cache_resizes_past_initial_capacity () =
-  let cache = Plan_cache.create () in
+  let cache = Shared_plan_cache.create () in
   for i = 1 to 100 do
-    Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+    Shared_plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
   done;
-  Alcotest.(check int) "100 entries" 100 (Plan_cache.size cache);
+  Alcotest.(check int) "100 entries" 100 (Shared_plan_cache.size cache);
   (* Every entry still findable after the resizes and shifting. *)
   for i = 1 to 100 do
-    match Plan_cache.find cache ~key:"k" ~data_gb:(float_of_int i) Plan_cache.Exact with
+    match Shared_plan_cache.find cache ~key:"k" ~data_gb:(float_of_int i) Shared_plan_cache.Exact with
     | Some r -> Alcotest.(check int) "right plan" i r.Resources.containers
     | None -> Alcotest.failf "entry %d lost" i
   done
 
 let test_cache_insert_random_order_stays_sorted () =
-  let cache = Plan_cache.create () in
+  let cache = Shared_plan_cache.create () in
   let rng = Raqo_util.Rng.create 5 in
   let sizes = Array.init 50 (fun i -> float_of_int (i + 1)) in
   Raqo_util.Rng.shuffle rng sizes;
-  Array.iter (fun s -> Plan_cache.insert cache ~key:"k" ~data_gb:s (res 1 1.0)) sizes;
+  Array.iter (fun s -> Shared_plan_cache.insert cache ~key:"k" ~data_gb:s (res 1 1.0)) sizes;
   (* Nearest-neighbor across the whole range works iff ordering is intact. *)
-  match Plan_cache.find cache ~key:"k" ~data_gb:25.4 (Plan_cache.Nearest_neighbor 1.0) with
+  match Shared_plan_cache.find cache ~key:"k" ~data_gb:25.4 (Shared_plan_cache.Nearest_neighbor 1.0) with
   | Some _ -> ()
   | None -> Alcotest.fail "expected neighbor"
 
 let test_cache_clear () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.clear cache;
-  Alcotest.(check int) "empty" 0 (Plan_cache.size cache)
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.clear cache;
+  Alcotest.(check int) "empty" 0 (Shared_plan_cache.size cache)
 
 let test_cache_counters () =
-  let cache = Plan_cache.create () in
+  let cache = Shared_plan_cache.create () in
   let k = Counters.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  ignore (Plan_cache.find ~counters:k cache ~key:"k" ~data_gb:1.0 Plan_cache.Exact);
-  ignore (Plan_cache.find ~counters:k cache ~key:"k" ~data_gb:9.0 Plan_cache.Exact);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  ignore (Shared_plan_cache.find ~counters:k cache ~key:"k" ~data_gb:1.0 Shared_plan_cache.Exact);
+  ignore (Shared_plan_cache.find ~counters:k cache ~key:"k" ~data_gb:9.0 Shared_plan_cache.Exact);
   Alcotest.(check int) "one hit" 1 (Counters.cache_hits k);
   Alcotest.(check int) "one miss" 1 (Counters.cache_misses k)
 
@@ -369,14 +369,16 @@ let prop_cache_wa_within_neighbor_hull =
   QCheck.Test.make ~name:"WA results lie within the neighbor hull" ~count:100
     QCheck.(pair (list_of_size Gen.(int_range 2 20) (int_range 1 100)) (int_range 1 100))
     (fun (entries, probe) ->
-      let cache = Plan_cache.create () in
+      let cache = Shared_plan_cache.create () in
       List.iter
-        (fun c -> Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int c) (res c (float_of_int (1 + (c mod 10)))))
+        (fun c ->
+          Shared_plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int c)
+            (res c (float_of_int (1 + (c mod 10)))))
         entries;
       let threshold = 10.0 in
       match
-        Plan_cache.find cache ~key:"k" ~data_gb:(float_of_int probe)
-          (Plan_cache.Weighted_average threshold)
+        Shared_plan_cache.find cache ~key:"k" ~data_gb:(float_of_int probe)
+          (Shared_plan_cache.Weighted_average threshold)
       with
       | None -> true
       | Some r ->
@@ -390,12 +392,15 @@ let prop_cache_nn_within_threshold =
   QCheck.Test.make ~name:"NN hits are within the threshold" ~count:100
     QCheck.(pair (list_of_size Gen.(int_range 1 30) (float_range 0.0 50.0)) (float_range 0.0 50.0))
     (fun (inserts, probe) ->
-      let cache = Plan_cache.create () in
+      let cache = Shared_plan_cache.create () in
       List.iteri
-        (fun i s -> Plan_cache.insert cache ~key:"k" ~data_gb:s (res (i + 1) 1.0))
+        (fun i s -> Shared_plan_cache.insert cache ~key:"k" ~data_gb:s (res (i + 1) 1.0))
         inserts;
       let threshold = 2.0 in
-      match Plan_cache.find cache ~key:"k" ~data_gb:probe (Plan_cache.Nearest_neighbor threshold) with
+      match
+        Shared_plan_cache.find cache ~key:"k" ~data_gb:probe
+          (Shared_plan_cache.Nearest_neighbor threshold)
+      with
       | Some _ -> List.exists (fun s -> Float.abs (s -. probe) <= threshold) inserts
       | None -> not (List.exists (fun s -> Float.abs (s -. probe) <= threshold) inserts))
 
@@ -403,100 +408,58 @@ let prop_cache_nn_within_threshold =
 
 module Ordered_index = Raqo_resource.Ordered_index
 
-let both_backends f =
-  List.iter (fun b -> f b) [ Ordered_index.Sorted_array; Ordered_index.Btree ]
-
 let test_index_insert_find () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
-      Ordered_index.insert idx 3.0 "c";
-      Ordered_index.insert idx 1.0 "a";
-      Ordered_index.insert idx 2.0 "b";
-      Alcotest.(check (option string)) "find 2" (Some "b") (Ordered_index.find_exact idx 2.0);
-      Alcotest.(check (option string)) "miss" None (Ordered_index.find_exact idx 2.5);
-      Alcotest.(check int) "size" 3 (Ordered_index.size idx))
+  let idx = Ordered_index.create () in
+  Ordered_index.insert idx 3.0 "c";
+  Ordered_index.insert idx 1.0 "a";
+  Ordered_index.insert idx 2.0 "b";
+  Alcotest.(check (option string)) "find 2" (Some "b") (Ordered_index.find_exact idx 2.0);
+  Alcotest.(check (option string)) "miss" None (Ordered_index.find_exact idx 2.5);
+  Alcotest.(check int) "size" 3 (Ordered_index.size idx)
 
 let test_index_overwrite () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
-      Ordered_index.insert idx 1.0 "old";
-      Ordered_index.insert idx 1.0 "new";
-      Alcotest.(check (option string)) "overwritten" (Some "new")
-        (Ordered_index.find_exact idx 1.0);
-      Alcotest.(check int) "size 1" 1 (Ordered_index.size idx))
+  let idx = Ordered_index.create () in
+  Ordered_index.insert idx 1.0 "old";
+  Ordered_index.insert idx 1.0 "new";
+  Alcotest.(check (option string)) "overwritten" (Some "new") (Ordered_index.find_exact idx 1.0);
+  Alcotest.(check int) "size 1" 1 (Ordered_index.size idx)
 
 let test_index_within () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
-      List.iter (fun k -> Ordered_index.insert idx k (string_of_float k)) [ 1.;2.;3.;4.;5. ];
-      let hits = Ordered_index.within idx ~center:3.0 ~radius:1.0 in
-      Alcotest.(check (list (float 1e-9))) "keys 2..4" [ 2.0; 3.0; 4.0 ] (List.map fst hits))
+  let idx = Ordered_index.create () in
+  List.iter (fun k -> Ordered_index.insert idx k (string_of_float k)) [ 1.;2.;3.;4.;5. ];
+  let hits = Ordered_index.within idx ~center:3.0 ~radius:1.0 in
+  Alcotest.(check (list (float 1e-9))) "keys 2..4" [ 2.0; 3.0; 4.0 ] (List.map fst hits)
 
 let test_index_ordered_iteration () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
-      let rng = Raqo_util.Rng.create 3 in
-      let keys = Array.init 500 (fun i -> float_of_int i) in
-      Raqo_util.Rng.shuffle rng keys;
-      Array.iter (fun k -> Ordered_index.insert idx k ()) keys;
-      Alcotest.(check int) "all present" 500 (Ordered_index.size idx);
-      let listed = List.map fst (Ordered_index.to_list idx) in
-      Alcotest.(check (list (float 1e-9))) "sorted"
-        (List.init 500 float_of_int) listed)
-
-let test_btree_large_scale () =
-  (* Enough entries to force several levels of splits. *)
-  let idx = Ordered_index.create Ordered_index.Btree in
-  for i = 1 to 20_000 do
-    Ordered_index.insert idx (float_of_int ((i * 7919) mod 100_003)) i
-  done;
-  (* 7919 and 100003 are coprime: all keys distinct. *)
-  Alcotest.(check int) "20k entries" 20_000 (Ordered_index.size idx);
-  (* Every inserted key is findable. *)
-  for i = 1 to 100 do
-    let k = float_of_int ((i * 7919) mod 100_003) in
-    match Ordered_index.find_exact idx k with
-    | Some _ -> ()
-    | None -> Alcotest.failf "lost key %f" k
-  done
+  let idx = Ordered_index.create () in
+  let rng = Raqo_util.Rng.create 3 in
+  let keys = Array.init 500 (fun i -> float_of_int i) in
+  Raqo_util.Rng.shuffle rng keys;
+  Array.iter (fun k -> Ordered_index.insert idx k ()) keys;
+  Alcotest.(check int) "all present" 500 (Ordered_index.size idx);
+  let listed = List.map fst (Ordered_index.to_list idx) in
+  Alcotest.(check (list (float 1e-9))) "sorted" (List.init 500 float_of_int) listed
 
 let test_index_nearest_basic () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
-      Alcotest.(check (option (pair (float 1e-9) string))) "empty" None
-        (Ordered_index.nearest idx ~center:1.0 ~radius:10.0);
-      Ordered_index.insert idx 5.0 "five";
-      Alcotest.(check (option (pair (float 1e-9) string))) "single within radius"
-        (Some (5.0, "five"))
-        (Ordered_index.nearest idx ~center:4.6 ~radius:0.5);
-      Alcotest.(check (option (pair (float 1e-9) string))) "single outside radius" None
-        (Ordered_index.nearest idx ~center:3.0 ~radius:0.5))
+  let idx = Ordered_index.create () in
+  Alcotest.(check (option (pair (float 1e-9) string))) "empty" None
+    (Ordered_index.nearest idx ~center:1.0 ~radius:10.0);
+  Ordered_index.insert idx 5.0 "five";
+  Alcotest.(check (option (pair (float 1e-9) string))) "single within radius"
+    (Some (5.0, "five"))
+    (Ordered_index.nearest idx ~center:4.6 ~radius:0.5);
+  Alcotest.(check (option (pair (float 1e-9) string))) "single outside radius" None
+    (Ordered_index.nearest idx ~center:3.0 ~radius:0.5)
 
 let test_index_nearest_tie_goes_to_lower_key () =
-  both_backends (fun backend ->
-      let idx = Ordered_index.create backend in
-      Ordered_index.insert idx 2.0 "lo";
-      Ordered_index.insert idx 4.0 "hi";
-      match Ordered_index.nearest idx ~center:3.0 ~radius:5.0 with
-      | Some (k, v) ->
-          check_float "lower key wins the tie" 2.0 k;
-          Alcotest.(check string) "its value" "lo" v
-      | None -> Alcotest.fail "hit expected")
-
-let test_index_nearest_btree_across_leaves () =
-  (* Enough keys for several leaf splits; every probe sits exactly between
-     two keys, so ties must resolve to the lower one across leaf
-     boundaries. *)
-  let idx = Ordered_index.create Ordered_index.Btree in
-  for i = 0 to 999 do
-    Ordered_index.insert idx (float_of_int (2 * i)) i
-  done;
-  for p = 0 to 500 do
-    let center = float_of_int (2 * p) +. 1.0 in
-    match Ordered_index.nearest idx ~center ~radius:2.0 with
-    | Some (k, _) -> check_float "tie to lower" (float_of_int (2 * p)) k
-    | None -> Alcotest.fail "hit expected"
-  done
+  let idx = Ordered_index.create () in
+  Ordered_index.insert idx 2.0 "lo";
+  Ordered_index.insert idx 4.0 "hi";
+  match Ordered_index.nearest idx ~center:3.0 ~radius:5.0 with
+  | Some (k, v) ->
+      check_float "lower key wins the tie" 2.0 k;
+      Alcotest.(check string) "its value" "lo" v
+  | None -> Alcotest.fail "hit expected"
 
 let prop_nearest_matches_linear_scan =
   QCheck.Test.make ~name:"nearest equals a linear scan with lower-key ties" ~count:100
@@ -506,58 +469,21 @@ let prop_nearest_matches_linear_scan =
         (int_range 0 100) (int_range 0 20))
     (fun (keys, probe, radius) ->
       let center = float_of_int probe and radius = float_of_int radius in
-      List.for_all
-        (fun backend ->
-          let idx = Ordered_index.create backend in
-          List.iter (fun k -> Ordered_index.insert idx (float_of_int k) k) keys;
-          let expected =
-            (* to_list is ascending, so keeping the first minimum reproduces
-               the tie-to-lower-key contract. *)
-            List.fold_left
-              (fun acc (k, v) ->
-                let d = Float.abs (k -. center) in
-                match acc with
-                | None -> if d <= radius then Some (k, v) else None
-                | Some (bk, _) ->
-                    if d <= radius && d < Float.abs (bk -. center) then Some (k, v)
-                    else acc)
-              None (Ordered_index.to_list idx)
-          in
-          Ordered_index.nearest idx ~center ~radius = expected)
-        [ Ordered_index.Sorted_array; Ordered_index.Btree ])
-
-let prop_backends_agree =
-  (* Random (insert | lookup | range) traces produce identical results on
-     both backends. *)
-  QCheck.Test.make ~name:"sorted array and B+-tree agree" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 200) (pair (int_range 0 100) (int_range 0 2)))
-    (fun ops ->
-      let a = Ordered_index.create Ordered_index.Sorted_array in
-      let b = Ordered_index.create Ordered_index.Btree in
-      List.for_all
-        (fun (k, op) ->
-          let key = float_of_int k in
-          match op with
-          | 0 ->
-              Ordered_index.insert a key k;
-              Ordered_index.insert b key k;
-              true
-          | 1 -> Ordered_index.find_exact a key = Ordered_index.find_exact b key
-          | _ ->
-              Ordered_index.within a ~center:key ~radius:5.0
-              = Ordered_index.within b ~center:key ~radius:5.0)
-        ops
-      && Ordered_index.to_list a = Ordered_index.to_list b)
-
-let test_cache_btree_backend () =
-  let cache = Plan_cache.create ~backend:Ordered_index.Btree () in
-  for i = 1 to 300 do
-    Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
-  done;
-  Alcotest.(check int) "300 entries" 300 (Plan_cache.size cache);
-  match Plan_cache.find cache ~key:"k" ~data_gb:150.2 (Plan_cache.Nearest_neighbor 0.5) with
-  | Some r -> Alcotest.(check int) "nearest" 150 r.Resources.containers
-  | None -> Alcotest.fail "hit expected"
+      let idx = Ordered_index.create () in
+      List.iter (fun k -> Ordered_index.insert idx (float_of_int k) k) keys;
+      let expected =
+        (* to_list is ascending, so keeping the first minimum reproduces the
+           tie-to-lower-key contract. *)
+        List.fold_left
+          (fun acc (k, v) ->
+            let d = Float.abs (k -. center) in
+            match acc with
+            | None -> if d <= radius then Some (k, v) else None
+            | Some (bk, _) ->
+                if d <= radius && d < Float.abs (bk -. center) then Some (k, v) else acc)
+          None (Ordered_index.to_list idx)
+      in
+      Ordered_index.nearest idx ~center ~radius = expected)
 
 (* ------------------------------------------------------ Resource_planner *)
 
@@ -584,7 +510,7 @@ let test_planner_no_cache_recomputes () =
 
 let test_planner_nn_lookup_reuses_neighbor () =
   let planner =
-    Resource_planner.create ~lookup:(Plan_cache.Nearest_neighbor 0.5) Conditions.default
+    Resource_planner.create ~lookup:(Shared_plan_cache.Nearest_neighbor 0.5) Conditions.default
   in
   let f = bowl ~nc_opt:20 ~gb_opt:5.0 in
   let _ = Resource_planner.plan planner ~key:"k" ~data_gb:3.0 ~cost:f in
@@ -770,80 +696,79 @@ let test_hill_climb_kernel_matches_scalar () =
 
 let test_cache_capacity_validates () =
   Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Plan_cache.create: capacity must be >= 1") (fun () ->
-      ignore (Plan_cache.create ~capacity:0 ()))
+    (Invalid_argument "Shared_plan_cache.create: capacity must be >= 1") (fun () ->
+      ignore (Shared_plan_cache.create ~capacity:0 ()))
 
 let test_cache_unbounded_by_default () =
-  let cache = Plan_cache.create () in
-  Alcotest.(check bool) "no capacity" true (Plan_cache.capacity cache = None);
+  let cache = Shared_plan_cache.create () in
   for i = 1 to 100 do
-    Plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+    Shared_plan_cache.insert cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
   done;
-  Alcotest.(check int) "everything retained" 100 (Plan_cache.size cache)
+  Alcotest.(check int) "everything retained" 100 (Shared_plan_cache.size cache)
 
 let test_cache_capacity_evicts_lru () =
-  let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
-  Alcotest.(check int) "bounded" 2 (Plan_cache.size cache);
+  let cache = Shared_plan_cache.create ~capacity:2 () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
+  Alcotest.(check int) "bounded" 2 (Shared_plan_cache.size cache);
   Alcotest.(check (list (float 0.0)))
     "oldest evicted" [ 2.0; 3.0 ]
-    (List.map fst (Plan_cache.entries cache ~key:"k"))
+    (List.map fst (Shared_plan_cache.entries cache ~key:"k"))
 
 let test_cache_lookup_refreshes_recency () =
-  let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
+  let cache = Shared_plan_cache.create ~capacity:2 () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
   (* Touch 1.0: now 2.0 is the cold entry. *)
   Alcotest.(check bool) "hit" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:1.0 Plan_cache.Exact <> None);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
+    (Shared_plan_cache.find cache ~key:"k" ~data_gb:1.0 Shared_plan_cache.Exact <> None);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check (list (float 0.0)))
     "2.0 evicted, touched 1.0 kept" [ 1.0; 3.0 ]
-    (List.map fst (Plan_cache.entries cache ~key:"k"))
+    (List.map fst (Shared_plan_cache.entries cache ~key:"k"))
 
 let test_cache_nearest_lookup_refreshes_recency () =
-  let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
+  let cache = Shared_plan_cache.create ~capacity:2 () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
   (* A nearest-neighbor probe that matches 1.0 must warm that entry. *)
   Alcotest.(check bool) "nn hit" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:1.1 (Plan_cache.Nearest_neighbor 0.5) <> None);
-  Plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
+    (Shared_plan_cache.find cache ~key:"k" ~data_gb:1.1 (Shared_plan_cache.Nearest_neighbor 0.5) <> None);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:3.0 (res 3 3.0);
   Alcotest.(check (list (float 0.0)))
     "nn-matched entry survives" [ 1.0; 3.0 ]
-    (List.map fst (Plan_cache.entries cache ~key:"k"))
+    (List.map fst (Shared_plan_cache.entries cache ~key:"k"))
 
 let test_cache_capacity_spans_keys () =
   (* The bound is global across cache keys, and an emptied key disappears. *)
-  let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert cache ~key:"a" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert cache ~key:"b" ~data_gb:1.0 (res 2 2.0);
-  Plan_cache.insert cache ~key:"b" ~data_gb:2.0 (res 3 3.0);
-  Alcotest.(check int) "bounded across keys" 2 (Plan_cache.size cache);
-  Alcotest.(check (list string)) "key a emptied and dropped" [ "b" ] (Plan_cache.keys cache)
+  let cache = Shared_plan_cache.create ~capacity:2 () in
+  Shared_plan_cache.insert cache ~key:"a" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert cache ~key:"b" ~data_gb:1.0 (res 2 2.0);
+  Shared_plan_cache.insert cache ~key:"b" ~data_gb:2.0 (res 3 3.0);
+  Alcotest.(check int) "bounded across keys" 2 (Shared_plan_cache.size cache);
+  Alcotest.(check (list string)) "key a emptied and dropped" [ "b" ] (Shared_plan_cache.keys cache)
 
 let test_cache_overwrite_does_not_evict () =
   let k = Counters.create () in
-  let cache = Plan_cache.create ~capacity:2 () in
-  Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
-  Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
-  Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:2.0 (res 9 9.0);
-  Alcotest.(check int) "still two entries" 2 (Plan_cache.size cache);
+  let cache = Shared_plan_cache.create ~capacity:2 () in
+  Shared_plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:1.0 (res 1 1.0);
+  Shared_plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:2.0 (res 2 2.0);
+  Shared_plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:2.0 (res 9 9.0);
+  Alcotest.(check int) "still two entries" 2 (Shared_plan_cache.size cache);
   Alcotest.(check int) "no evictions" 0 (Counters.cache_evictions k);
   Alcotest.(check bool) "overwrite took" true
-    (Plan_cache.find cache ~key:"k" ~data_gb:2.0 Plan_cache.Exact = Some (res 9 9.0))
+    (Shared_plan_cache.find cache ~key:"k" ~data_gb:2.0 Shared_plan_cache.Exact = Some (res 9 9.0))
 
 let test_cache_eviction_counters () =
   let k = Counters.create () in
-  let cache = Plan_cache.create ~capacity:3 () in
+  let cache = Shared_plan_cache.create ~capacity:3 () in
   for i = 1 to 10 do
-    Plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
+    Shared_plan_cache.insert ~counters:k cache ~key:"k" ~data_gb:(float_of_int i) (res i 1.0)
   done;
-  Alcotest.(check int) "bounded" 3 (Plan_cache.size cache);
+  Alcotest.(check int) "bounded" 3 (Shared_plan_cache.size cache);
   Alcotest.(check int) "seven evictions recorded" 7 (Counters.cache_evictions k);
-  Alcotest.(check int) "clear resets" 0 (Plan_cache.size (Plan_cache.clear cache; cache))
+  Alcotest.(check int) "clear resets" 0 (Shared_plan_cache.size (Shared_plan_cache.clear cache; cache))
 
 let prop_cache_capacity_never_exceeded =
   QCheck.Test.make ~name:"bounded cache never exceeds capacity" ~count:100
@@ -851,122 +776,64 @@ let prop_cache_capacity_never_exceeded =
       pair (int_range 1 8)
         (list_of_size Gen.(int_range 1 60) (pair (int_range 0 2) (int_range 1 20))))
     (fun (cap, ops) ->
-      let cache = Plan_cache.create ~capacity:cap () in
+      let cache = Shared_plan_cache.create ~capacity:cap () in
       let key = function 0 -> "a" | 1 -> "b" | _ -> "c" in
       List.for_all
         (fun (k, v) ->
-          Plan_cache.insert cache ~key:(key k) ~data_gb:(float_of_int v) (res v 1.0);
-          Plan_cache.size cache <= cap)
+          Shared_plan_cache.insert cache ~key:(key k) ~data_gb:(float_of_int v) (res v 1.0);
+          Shared_plan_cache.size cache <= cap)
         ops)
 
 (* ------------------------------------------------- ordered-index removal *)
 
-let with_index_backends f =
-  List.iter
-    (fun backend -> f (Ordered_index.create backend))
-    [ Ordered_index.Sorted_array; Ordered_index.Btree ]
-
 let test_index_remove_basic () =
-  with_index_backends (fun idx ->
-      List.iter (fun k -> Ordered_index.insert idx k (int_of_float k)) [ 5.0; 1.0; 3.0 ];
-      Alcotest.(check bool) "removes present key" true (Ordered_index.remove idx 3.0);
-      Alcotest.(check int) "size drops" 2 (Ordered_index.size idx);
-      Alcotest.(check bool) "gone" true (Ordered_index.find_exact idx 3.0 = None);
-      Alcotest.(check bool) "missing key is a no-op" false (Ordered_index.remove idx 3.0);
-      Alcotest.(check int) "size unchanged" 2 (Ordered_index.size idx);
-      Alcotest.(check (list (float 0.0)))
-        "order preserved" [ 1.0; 5.0 ]
-        (List.map fst (Ordered_index.to_list idx)))
-
-let test_index_remove_btree_across_leaves () =
-  (* Enough entries to force leaf splits; removals must stay consistent with
-     a reference model even when leaves empty out. *)
-  let idx = Ordered_index.create Ordered_index.Btree in
-  let n = 200 in
-  for i = 0 to n - 1 do
-    Ordered_index.insert idx (float_of_int i) i
-  done;
-  let expected = ref [] in
-  for i = n - 1 downto 0 do
-    if i mod 3 <> 0 then expected := (float_of_int i, i) :: !expected
-    else Alcotest.(check bool) "removed" true (Ordered_index.remove idx (float_of_int i))
-  done;
-  Alcotest.(check int) "size" (List.length !expected) (Ordered_index.size idx);
-  Alcotest.(check bool) "contents" true (Ordered_index.to_list idx = !expected);
-  (* Survivors stay findable and re-insertable after their neighbors left. *)
-  Alcotest.(check bool) "find survivor" true (Ordered_index.find_exact idx 100.0 = Some 100);
-  Ordered_index.insert idx 99.0 (-99);
-  Alcotest.(check bool) "reinsert into emptied region" true
-    (Ordered_index.find_exact idx 99.0 = Some (-99))
+  let idx = Ordered_index.create () in
+  List.iter (fun k -> Ordered_index.insert idx k (int_of_float k)) [ 5.0; 1.0; 3.0 ];
+  Alcotest.(check bool) "removes present key" true (Ordered_index.remove idx 3.0);
+  Alcotest.(check int) "size drops" 2 (Ordered_index.size idx);
+  Alcotest.(check bool) "gone" true (Ordered_index.find_exact idx 3.0 = None);
+  Alcotest.(check bool) "missing key is a no-op" false (Ordered_index.remove idx 3.0);
+  Alcotest.(check int) "size unchanged" 2 (Ordered_index.size idx);
+  Alcotest.(check (list (float 0.0)))
+    "order preserved" [ 1.0; 5.0 ]
+    (List.map fst (Ordered_index.to_list idx))
 
 (* -------------------------------------------- nearest: edge-case corpus *)
 
 let test_index_nearest_single_element () =
-  with_index_backends (fun idx ->
-      Ordered_index.insert idx 5.0 50;
-      Alcotest.(check bool) "query below" true
-        (Ordered_index.nearest idx ~center:1.0 ~radius:10.0 = Some (5.0, 50));
-      Alcotest.(check bool) "query above" true
-        (Ordered_index.nearest idx ~center:9.0 ~radius:10.0 = Some (5.0, 50));
-      Alcotest.(check bool) "query exact" true
-        (Ordered_index.nearest idx ~center:5.0 ~radius:0.0 = Some (5.0, 50));
-      Alcotest.(check bool) "radius excludes" true
-        (Ordered_index.nearest idx ~center:1.0 ~radius:1.0 = None))
+  let idx = Ordered_index.create () in
+  Ordered_index.insert idx 5.0 50;
+  Alcotest.(check bool) "query below" true
+    (Ordered_index.nearest idx ~center:1.0 ~radius:10.0 = Some (5.0, 50));
+  Alcotest.(check bool) "query above" true
+    (Ordered_index.nearest idx ~center:9.0 ~radius:10.0 = Some (5.0, 50));
+  Alcotest.(check bool) "query exact" true
+    (Ordered_index.nearest idx ~center:5.0 ~radius:0.0 = Some (5.0, 50));
+  Alcotest.(check bool) "radius excludes" true
+    (Ordered_index.nearest idx ~center:1.0 ~radius:1.0 = None)
 
 let test_index_nearest_duplicate_inserts () =
   (* Keys are unique: re-inserting overwrites, and nearest sees the latest
      value, never a stale duplicate. *)
-  with_index_backends (fun idx ->
-      Ordered_index.insert idx 2.0 1;
-      Ordered_index.insert idx 2.0 2;
-      Ordered_index.insert idx 2.0 3;
-      Alcotest.(check int) "one entry" 1 (Ordered_index.size idx);
-      Alcotest.(check bool) "latest value" true
-        (Ordered_index.nearest idx ~center:2.4 ~radius:1.0 = Some (2.0, 3)))
+  let idx = Ordered_index.create () in
+  Ordered_index.insert idx 2.0 1;
+  Ordered_index.insert idx 2.0 2;
+  Ordered_index.insert idx 2.0 3;
+  Alcotest.(check int) "one entry" 1 (Ordered_index.size idx);
+  Alcotest.(check bool) "latest value" true
+    (Ordered_index.nearest idx ~center:2.4 ~radius:1.0 = Some (2.0, 3))
 
 let test_index_nearest_outside_key_range () =
-  with_index_backends (fun idx ->
-      List.iter (fun k -> Ordered_index.insert idx k (int_of_float k)) [ 10.0; 20.0; 30.0 ];
-      Alcotest.(check bool) "below all keys snaps to the lowest" true
-        (Ordered_index.nearest idx ~center:(-5.0) ~radius:100.0 = Some (10.0, 10));
-      Alcotest.(check bool) "above all keys snaps to the highest" true
-        (Ordered_index.nearest idx ~center:99.0 ~radius:100.0 = Some (30.0, 30));
-      Alcotest.(check bool) "below all keys, out of radius" true
-        (Ordered_index.nearest idx ~center:(-5.0) ~radius:1.0 = None);
-      Alcotest.(check bool) "above all keys, out of radius" true
-        (Ordered_index.nearest idx ~center:99.0 ~radius:1.0 = None))
-
-let prop_nearest_backends_agree =
-  (* Array and B+-tree must answer identically on random key sets and random
-     probes — including after interleaved removals. *)
-  QCheck.Test.make ~name:"nearest: array and B+-tree backends agree" ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(int_range 1 40) (int_range 0 60))
-        (list_of_size Gen.(int_range 0 10) (int_range 0 60))
-        (list_of_size Gen.(int_range 1 20) (pair (int_range (-10) 70) (int_range 0 8))))
-    (fun (keys, removals, probes) ->
-      let arr = Ordered_index.create Ordered_index.Sorted_array in
-      let bt = Ordered_index.create Ordered_index.Btree in
-      List.iter
-        (fun k ->
-          Ordered_index.insert arr (float_of_int k) k;
-          Ordered_index.insert bt (float_of_int k) k)
-        keys;
-      List.iter
-        (fun k ->
-          let a = Ordered_index.remove arr (float_of_int k) in
-          let b = Ordered_index.remove bt (float_of_int k) in
-          if a <> b then QCheck.Test.fail_reportf "remove %d disagreed" k)
-        removals;
-      Ordered_index.size arr = Ordered_index.size bt
-      && List.for_all
-           (fun (center, radius) ->
-             Ordered_index.nearest arr ~center:(float_of_int center)
-               ~radius:(float_of_int radius)
-             = Ordered_index.nearest bt ~center:(float_of_int center)
-                 ~radius:(float_of_int radius))
-           probes)
+  let idx = Ordered_index.create () in
+  List.iter (fun k -> Ordered_index.insert idx k (int_of_float k)) [ 10.0; 20.0; 30.0 ];
+  Alcotest.(check bool) "below all keys snaps to the lowest" true
+    (Ordered_index.nearest idx ~center:(-5.0) ~radius:100.0 = Some (10.0, 10));
+  Alcotest.(check bool) "above all keys snaps to the highest" true
+    (Ordered_index.nearest idx ~center:99.0 ~radius:100.0 = Some (30.0, 30));
+  Alcotest.(check bool) "below all keys, out of radius" true
+    (Ordered_index.nearest idx ~center:(-5.0) ~radius:1.0 = None);
+  Alcotest.(check bool) "above all keys, out of radius" true
+    (Ordered_index.nearest idx ~center:99.0 ~radius:1.0 = None)
 
 (* ------------------------------------------ planner kernel integration *)
 
@@ -1054,10 +921,13 @@ let test_planner_kernel_cache_hit_recosting () =
     (snd hit = cost (fst hit))
 
 let test_planner_cache_capacity_plumbed () =
+  (* A bounded cache lent to a planner stays bounded, and the evictions the
+     planner's inserts force are counted by both. *)
   let counters = Counters.create () in
+  let cache = Shared_plan_cache.create ~capacity:2 () in
   let planner =
-    Resource_planner.create ~strategy:Resource_planner.Hill_climb ~cache:true
-      ~cache_capacity:2 ~counters Conditions.default
+    Resource_planner.create ~strategy:Resource_planner.Hill_climb ~shared_cache:cache
+      ~counters Conditions.default
   in
   List.iter
     (fun gb ->
@@ -1066,35 +936,10 @@ let test_planner_cache_capacity_plumbed () =
            ~cost:(op_cost Join_impl.Smj ~small_gb:gb)))
     [ 1.0; 2.0; 3.0; 4.0 ];
   Alcotest.(check int) "cache stays bounded" 2 (Resource_planner.cache_size planner);
-  Alcotest.(check int) "evictions recorded" 2 (Counters.cache_evictions counters)
+  Alcotest.(check int) "evictions recorded" 2 (Counters.cache_evictions counters);
+  Alcotest.(check int) "and by the cache" 2 (Shared_plan_cache.evictions cache)
 
-(* ---------------------------------------------------- Shared plan cache *)
-
-module Shared_plan_cache = Raqo_resource.Shared_plan_cache
-
-let test_shared_cache_basics () =
-  let c = Shared_plan_cache.create ~shards:4 ~capacity:10 () in
-  Alcotest.(check int) "shards" 4 (Shared_plan_cache.shard_count c);
-  (* ceil (10 / 4) = 3 per shard *)
-  Alcotest.(check (option int)) "per-shard bound" (Some 3)
-    (Shared_plan_cache.per_shard_capacity c);
-  Shared_plan_cache.insert c ~key:"SMJ/a" ~data_gb:1.0 (res 4 2.0);
-  Shared_plan_cache.insert c ~key:"SMJ/a" ~data_gb:2.0 (res 8 2.0);
-  Alcotest.(check (option (module Resources))) "exact hit" (Some (res 4 2.0))
-    (Shared_plan_cache.find c ~key:"SMJ/a" ~data_gb:1.0 Plan_cache.Exact);
-  Alcotest.(check (option (module Resources))) "range lookups see the whole key"
-    (Some (res 8 2.0))
-    (Shared_plan_cache.find c ~key:"SMJ/a" ~data_gb:2.2
-       (Plan_cache.Nearest_neighbor 1.0));
-  Alcotest.(check (option (module Resources))) "miss" None
-    (Shared_plan_cache.find c ~key:"SMJ/b" ~data_gb:1.0 Plan_cache.Exact);
-  Alcotest.(check int) "hits" 2 (Shared_plan_cache.hits c);
-  Alcotest.(check int) "misses" 1 (Shared_plan_cache.misses c);
-  Alcotest.(check int) "inserts" 2 (Shared_plan_cache.inserts c);
-  Alcotest.(check int) "size" 2 (Shared_plan_cache.size c);
-  Shared_plan_cache.clear c;
-  Alcotest.(check int) "clear empties" 0 (Shared_plan_cache.size c);
-  Alcotest.(check int) "counters survive clear" 2 (Shared_plan_cache.inserts c)
+(* ------------------------------------------- concurrent shared cache *)
 
 (* One domain's deterministic workload over its own key space: find-then-
    insert-on-miss, re-probing a sliding window so hits and misses both
@@ -1105,7 +950,7 @@ let shared_cache_workload cache d ops =
     let key = Printf.sprintf "d%d/k%d" d (i mod 7) in
     let data_gb = float_of_int (i mod 23) in
     incr finds;
-    (match Shared_plan_cache.find cache ~key ~data_gb Plan_cache.Exact with
+    (match Shared_plan_cache.find cache ~key ~data_gb Shared_plan_cache.Exact with
     | Some _ -> incr hits
     | None -> Shared_plan_cache.insert cache ~key ~data_gb (res (1 + (i mod 8)) 2.0))
   done;
@@ -1124,7 +969,7 @@ let test_shared_cache_concurrent_no_lost_entries () =
      survive, and hit/miss totals must equal a sequential replay's (the
      domains cannot interact without evictions). *)
   let domains = 4 and ops = 400 in
-  let cache = Shared_plan_cache.create ~shards:4 () in
+  let cache = Shared_plan_cache.create () in
   let results = run_shared_cache_domains cache ~domains ~ops in
   let total_finds = List.fold_left (fun a (f, _) -> a + f) 0 results in
   let total_hits = List.fold_left (fun a (_, h) -> a + h) 0 results in
@@ -1135,7 +980,7 @@ let test_shared_cache_concurrent_no_lost_entries () =
     (Shared_plan_cache.size cache);
   Alcotest.(check int) "no evictions unbounded" 0 (Shared_plan_cache.evictions cache);
   (* Sequential replay on a fresh cache: identical totals. *)
-  let seq = Shared_plan_cache.create ~shards:4 () in
+  let seq = Shared_plan_cache.create () in
   let seq_results = List.init domains (fun d -> shared_cache_workload seq d ops) in
   Alcotest.(check bool) "per-domain (finds,hits) match sequential" true
     (List.sort compare results = List.sort compare seq_results);
@@ -1149,32 +994,28 @@ let test_shared_cache_concurrent_no_lost_entries () =
     (Shared_plan_cache.keys cache)
 
 let test_shared_cache_concurrent_lru_bound () =
-  (* Bounded cache under cross-domain contention: the per-shard LRU bound
-     must hold at every moment (checked after the storm and from a
-     concurrent observer), and the entry count must reconcile with the
-     insert and eviction counters exactly. *)
-  let domains = 4 and ops = 600 in
-  let cache = Shared_plan_cache.create ~shards:4 ~capacity:16 () in
-  let bound = Option.get (Shared_plan_cache.per_shard_capacity cache) in
+  (* Bounded cache under cross-domain contention: the total LRU bound must
+     hold at every moment (checked after the storm and from a concurrent
+     observer), and the entry count must reconcile with the insert and
+     eviction counters exactly. *)
+  let domains = 4 and ops = 600 and capacity = 16 in
+  let cache = Shared_plan_cache.create ~capacity () in
   let stop = Atomic.make false in
   let violations = Atomic.make 0 in
   let observer =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          Array.iter
-            (fun s -> if s > bound then Atomic.incr violations)
-            (Shared_plan_cache.shard_sizes cache)
+          if Shared_plan_cache.size cache > capacity then Atomic.incr violations
         done)
   in
   ignore (run_shared_cache_domains cache ~domains ~ops);
   Atomic.set stop true;
   Domain.join observer;
   Alcotest.(check int) "bound never observed exceeded" 0 (Atomic.get violations);
-  Array.iter
-    (fun s -> Alcotest.(check bool) "final shard size within bound" true (s <= bound))
-    (Shared_plan_cache.shard_sizes cache);
+  Alcotest.(check int) "full at the end" capacity (Shared_plan_cache.size cache);
   (* Disjoint (key, data_gb) spaces mean no overwrites, so every insert
-     grew a shard by one and every eviction shrank one: exact accounting. *)
+     grew the cache by one and every eviction shrank it by one: exact
+     accounting. *)
   Alcotest.(check int) "size = inserts - evictions"
     (Shared_plan_cache.inserts cache - Shared_plan_cache.evictions cache)
     (Shared_plan_cache.size cache);
@@ -1187,7 +1028,7 @@ let test_shared_cache_registry_mirrors () =
   (* With observability on, the cache's registry carries equal totals under
      the raqo_shared_plan_cache_* names. *)
   let registry = Raqo_obs.Metrics.create_registry () in
-  let cache = Shared_plan_cache.create ~shards:2 ~capacity:4 ~registry () in
+  let cache = Shared_plan_cache.create ~capacity:4 ~registry () in
   Raqo_obs.Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Raqo_obs.Obs.set_enabled false)
@@ -1275,15 +1116,11 @@ let () =
           Alcotest.test_case "range queries" `Quick test_index_within;
           Alcotest.test_case "ordered iteration after shuffled inserts" `Quick
             test_index_ordered_iteration;
-          Alcotest.test_case "B+-tree at 20k entries" `Quick test_btree_large_scale;
-          Alcotest.test_case "plan cache on the B+-tree backend" `Quick test_cache_btree_backend;
           Alcotest.test_case "nearest: empty/single/radius" `Quick test_index_nearest_basic;
           Alcotest.test_case "nearest: ties go to the lower key" `Quick
             test_index_nearest_tie_goes_to_lower_key;
-          Alcotest.test_case "nearest: B+-tree across leaf boundaries" `Quick
-            test_index_nearest_btree_across_leaves;
         ]
-        @ qsuite [ prop_backends_agree; prop_nearest_matches_linear_scan ] );
+        @ qsuite [ prop_nearest_matches_linear_scan ] );
       ( "resource_planner",
         [
           Alcotest.test_case "cache hit short-circuits search" `Quick test_planner_cache_flow;
@@ -1330,19 +1167,15 @@ let () =
         @ qsuite [ prop_cache_capacity_never_exceeded ] );
       ( "shared_plan_cache",
         [
-          Alcotest.test_case "striping & counters (sequential)" `Quick
-            test_shared_cache_basics;
+          Alcotest.test_case "total LRU bound under 4 writer domains" `Quick
+            test_shared_cache_concurrent_lru_bound;
           Alcotest.test_case "4 domains, no lost entries, sequential totals" `Quick
             test_shared_cache_concurrent_no_lost_entries;
-          Alcotest.test_case "4 domains, per-shard LRU bound holds" `Quick
-            test_shared_cache_concurrent_lru_bound;
           Alcotest.test_case "registry mirrors" `Quick test_shared_cache_registry_mirrors;
         ] );
       ( "ordered_index_remove",
         [
           Alcotest.test_case "remove on both backends" `Quick test_index_remove_basic;
-          Alcotest.test_case "B+-tree removal across leaves" `Quick
-            test_index_remove_btree_across_leaves;
         ] );
       ( "ordered_index_nearest_edges",
         [
@@ -1351,8 +1184,7 @@ let () =
             test_index_nearest_duplicate_inserts;
           Alcotest.test_case "queries outside the key range" `Quick
             test_index_nearest_outside_key_range;
-        ]
-        @ qsuite [ prop_nearest_backends_agree ] );
+        ] );
       ( "resource_planner_kernel",
         [
           Alcotest.test_case "scratch reuse across plans" `Quick

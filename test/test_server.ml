@@ -175,6 +175,41 @@ let test_engine_served_equals_oneshot () =
       Alcotest.(check bool) "warm engine actually hit its cache" true
         (Raqo_resource.Shared_plan_cache.hits (Engine.cache t) > 0))
 
+let test_engine_mixed_models_equal_oneshot () =
+  (* One engine, every payload of the trace mix asked on hive and then on
+     spark: the shared cache must never answer one cost model's lookup with
+     the other's resources, so each served line equals the one-shot line. *)
+  let config = { small_config with queue_capacity = 64 } in
+  with_engine ~config (fun t ->
+      let base = parse_ok (req_line sql3) in
+      let payloads =
+        List.map (fun sql -> Protocol.Sql sql) (Array.to_list Trace_gen.sql_pool)
+        @ List.map (fun (_, rels) -> Protocol.Relations rels) Raqo_catalog.Tpch.evaluation_queries
+      in
+      let requests =
+        List.concat
+          (List.mapi
+             (fun i payload ->
+               List.map
+                 (fun engine ->
+                   { base with Protocol.id = Printf.sprintf "%s%d" engine i; payload; engine })
+                 [ "hive"; "spark" ])
+             payloads)
+      in
+      List.iter
+        (fun req ->
+          if Engine.submit t req <> None then Alcotest.failf "request %s shed" req.Protocol.id)
+        requests;
+      let served = Engine.drain t in
+      Alcotest.(check int) "every request answered" (List.length requests) (List.length served);
+      List.iter
+        (fun ((req : Protocol.request), response) ->
+          Alcotest.(check string)
+            (Printf.sprintf "request %s" req.id)
+            (Protocol.response_to_json (Engine.oneshot req))
+            (Protocol.response_to_json response))
+        served)
+
 let test_engine_error_responses () =
   with_engine (fun t ->
       (match Engine.plan_request t (parse_ok (req_line "select * from")) with
@@ -543,6 +578,17 @@ let test_trace_roundtrip () =
   let again = Trace_gen.generate ~seed:5 ~requests:25 () in
   Alcotest.(check bool) "deterministic in seed" true (trace = again)
 
+let test_trace_sql_pool_plans () =
+  (* A pool text with a predicate off the join graph would turn every
+     request drawing it into a bad_request. *)
+  Array.iteri
+    (fun i sql ->
+      match Engine.oneshot (parse_ok (req_line sql ~id:(Printf.sprintf "s%d" i))) with
+      | Protocol.Planned _ -> ()
+      | response ->
+          Alcotest.failf "sql_pool.(%d) answered %s" i (Protocol.response_to_json response))
+    Trace_gen.sql_pool
+
 let () =
   Alcotest.run "raqo_server"
     [
@@ -569,6 +615,8 @@ let () =
             test_engine_qo_and_adaptive;
           Alcotest.test_case "bounded admission, typed shedding" `Quick
             test_admission_bounded;
+          Alcotest.test_case "mixed hive/spark served equals oneshot" `Quick
+            test_engine_mixed_models_equal_oneshot;
         ] );
       ( "tenants",
         [
@@ -603,5 +651,8 @@ let () =
             test_rewrite_served_equals_oneshot;
         ] );
       ( "trace_gen",
-        [ Alcotest.test_case "round-trip & determinism" `Quick test_trace_roundtrip ] );
+        [
+          Alcotest.test_case "round-trip & determinism" `Quick test_trace_roundtrip;
+          Alcotest.test_case "every sql_pool text plans" `Quick test_trace_sql_pool_plans;
+        ] );
     ]

@@ -14,7 +14,7 @@ module Join_impl = Raqo_plan.Join_impl
 module Resources = Raqo_cluster.Resources
 module Schema = Raqo_catalog.Schema
 module Objective = Raqo_cost.Objective
-module Plan_cache = Raqo_resource.Plan_cache
+module Shared_plan_cache = Raqo_resource.Shared_plan_cache
 module Cost_based = Raqo.Cost_based
 
 let res nc gb = Resources.make ~containers:nc ~container_gb:gb
@@ -121,16 +121,20 @@ let test_checker_rejects_dominated_pareto () =
   check_clean "a true Pareto front" (Invariant.check_pareto ~objective:id ~describe front)
 
 let test_cache_lookup_checker_passes_on_real_cache () =
-  let cache = Plan_cache.create () in
-  Plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 2 2.0);
-  Plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 4 3.0);
+  let cache = Shared_plan_cache.create () in
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:1.0 (res 2 2.0);
+  Shared_plan_cache.insert cache ~key:"k" ~data_gb:2.0 (res 4 3.0);
   List.iter
     (fun data_gb ->
       List.iter
         (fun lookup ->
           check_clean "a well-behaved cache lookup"
             (Invariant.check_cache_lookup cache ~key:"k" ~data_gb lookup))
-        [ Plan_cache.Exact; Plan_cache.Nearest_neighbor 0.6; Plan_cache.Weighted_average 0.6 ])
+        [
+          Shared_plan_cache.Exact;
+          Shared_plan_cache.Nearest_neighbor 0.6;
+          Shared_plan_cache.Weighted_average 0.6;
+        ])
     [ 0.5; 1.0; 1.5; 2.0; 3.0 ]
 
 (* ---------------------------------------------------- differential oracle *)
@@ -315,13 +319,13 @@ let prop_cache_lookups_pass_audit =
            (triple (float_range 0.0 10.0) (int_range 1 8) (float_range 1.0 6.0)))
         (list_of_size Gen.(1 -- 6) (float_range 0.0 10.0)))
     (fun (entries, probes) ->
-      let cache = Plan_cache.create () in
+      let cache = Shared_plan_cache.create () in
       List.iter
         (fun (data_gb, nc, gb) ->
-          Plan_cache.insert cache ~key:"k" ~data_gb (res nc gb);
+          Shared_plan_cache.insert cache ~key:"k" ~data_gb (res nc gb);
           (* Near-duplicate keys a few ulps apart are exactly the regime the
              weighted-average epsilon guard exists for. *)
-          Plan_cache.insert cache ~key:"k" ~data_gb:(Float.succ data_gb) (res nc gb))
+          Shared_plan_cache.insert cache ~key:"k" ~data_gb:(Float.succ data_gb) (res nc gb))
         entries;
       let probes = probes @ List.map (fun (d, _, _) -> d) entries in
       let diags =
@@ -329,7 +333,11 @@ let prop_cache_lookups_pass_audit =
           (fun data_gb ->
             List.concat_map
               (fun lookup -> Invariant.check_cache_lookup cache ~key:"k" ~data_gb lookup)
-              [ Plan_cache.Exact; Plan_cache.Nearest_neighbor 0.5; Plan_cache.Weighted_average 0.5 ])
+              [
+                Shared_plan_cache.Exact;
+                Shared_plan_cache.Nearest_neighbor 0.5;
+                Shared_plan_cache.Weighted_average 0.5;
+              ])
           probes
       in
       diags = [] || QCheck.Test.fail_report (Diagnostic.render diags))
