@@ -57,13 +57,25 @@ let memory_arg =
 let conditions max_containers max_gb =
   Raqo_cluster.Conditions.make ~max_containers ~max_gb ()
 
+(* Domains beyond the host's cores only contend with each other, so a
+   requested pool size is clamped to [Pool.default_jobs], with one warning on
+   stderr when the clamp bites. Results never depend on the pool size. *)
+let clamp_jobs jobs =
+  let cap = Raqo_par.Pool.default_jobs () in
+  if jobs <= cap then jobs
+  else begin
+    Printf.eprintf "warning: --jobs %d exceeds the %d domains this host can run; using %d\n%!"
+      jobs cap cap;
+    cap
+  end
+
 let jobs_opt_arg =
-  Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
-         ~doc:"Planning domains. With the randomized planner, restarts run on a pool of \
-               $(docv) domains (results are identical to --jobs 1 for a fixed seed); with \
-               the dpsub planner, DP levels fan out over a shared memo table (also \
-               bit-identical at any pool size); with workload batches, queries are \
-               planned concurrently.")
+  Term.(
+    const clamp_jobs
+    $ Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
+             ~doc:"Domains that plan independent queries concurrently (one optimizer per \
+                   query; results are identical at any pool size). Clamped, with a \
+                   warning, to the host's recommended domain count (at most 8)."))
 
 let no_kernel_arg =
   Arg.(value & flag & info [ "no-kernel" ]
@@ -175,8 +187,8 @@ let plan_cmd =
                  e.g. \"select * from orders, lineitem where o_orderkey = l_orderkey and \
                  o_totalprice < 172000\".")
   in
-  let run relations planner mode max_containers max_gb nc gb sql jobs no_kernel no_rewrite
-      engine adaptive est_error trace =
+  let run relations planner mode max_containers max_gb nc gb sql no_kernel no_rewrite engine
+      adaptive est_error trace =
     with_trace trace @@ fun () ->
     let schema = Raqo_catalog.Tpch.schema () in
     let model = Raqo.Models.hive () in
@@ -189,16 +201,10 @@ let plan_cmd =
     let conditions = conditions max_containers max_gb in
     match sql with
     | Some sql -> begin
-        let plan_sql pool =
+        match
           Raqo.Sql_frontend.plan ~kind ~kernel:(not no_kernel) ~rewrite:(not no_rewrite)
-            ?pool
             ?adaptive:(if adaptive then Some (engine, est_error) else None)
             ~model ~conditions ~schema ~columns:(Raqo_catalog.Tpch.columns ()) sql
-        in
-        match
-          if jobs > 1 then
-            Raqo_par.Pool.with_pool ~jobs (fun pool -> plan_sql (Some pool))
-          else plan_sql None
         with
         | Ok planned ->
             List.iter
@@ -235,14 +241,7 @@ let plan_cmd =
               Raqo.Cost_based.create ~kind ~kernel:(not no_kernel)
                 ~rewrite:(not no_rewrite) ~model ~conditions estimates
             in
-            let result =
-              if jobs > 1 then
-                Raqo_par.Pool.with_pool ~jobs (fun pool ->
-                    Raqo.Cost_based.optimize_adaptive ~pool ~engine ~truth:schema opt
-                      relations)
-              else Raqo.Cost_based.optimize_adaptive ~engine ~truth:schema opt relations
-            in
-            match result with
+            match Raqo.Cost_based.optimize_adaptive ~engine ~truth:schema opt relations with
             | Some (report, _est_cost) ->
                 print_string
                   (Raqo.Explain.joint model estimates
@@ -260,9 +259,6 @@ let plan_cmd =
             in
             let result =
               match mode with
-              | `Raqo when jobs > 1 ->
-                  Raqo_par.Pool.with_pool ~jobs (fun pool ->
-                      Raqo.Cost_based.optimize_par opt pool relations)
               | `Raqo -> Raqo.Cost_based.optimize opt relations
               | `Qo ->
                   Raqo.Cost_based.optimize_qo opt
@@ -283,8 +279,8 @@ let plan_cmd =
   in
   let term =
     Term.(const run $ relations_arg $ planner_arg $ mode_arg $ containers_arg $ memory_arg
-          $ fixed_containers $ fixed_gb $ sql_arg $ jobs_opt_arg $ no_kernel_arg
-          $ no_rewrite_arg $ engine_arg $ adaptive_arg $ est_error_arg $ trace_arg)
+          $ fixed_containers $ fixed_gb $ sql_arg $ no_kernel_arg $ no_rewrite_arg
+          $ engine_arg $ adaptive_arg $ est_error_arg $ trace_arg)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Jointly optimize a TPC-H query's plan and resources") term
 
@@ -448,8 +444,9 @@ let fuzz_cmd =
   in
   let fuzz_jobs_arg =
     Arg.(value & opt int 4 & info [ "jobs" ] ~docv:"N"
-           ~doc:"Maximum pool size for the parallel-vs-sequential oracle arms; pool sizes \
-                 in {2, 4, $(docv)} up to $(docv) are exercised (1 disables them).")
+           ~doc:"Maximum pool size for the allocator arm, which rebuilds its response \
+                 surfaces on pools of {2, 4, $(docv)} domains up to $(docv) and checks them \
+                 against the sequential build (1 disables it).")
   in
   let fuzz_adaptive_arg =
     Arg.(value & flag & info [ "adaptive" ]
@@ -494,12 +491,11 @@ let trace_cmd =
   let random_arg =
     Arg.(value & opt (some int) None & info [ "random" ] ~docv:"N"
            ~doc:"Ignore the RELATION arguments and plan a seeded random $(docv)-relation \
-                 schema (the same generator the fuzz and memo benches use) — TPC-H tops \
-                 out at 8 relations, so this is how to watch the dpsub levels fan out on \
-                 bigger queries.")
+                 schema (the same generator the fuzz uses) — TPC-H tops out at 8 \
+                 relations, so this is how to trace the planners on bigger queries.")
   in
-  let run relations planner random max_containers max_gb jobs no_kernel no_rewrite engine
-      adaptive est_error out =
+  let run relations planner random max_containers max_gb no_kernel no_rewrite engine adaptive
+      est_error out =
     Raqo_obs.Obs.set_enabled true;
     let kind =
       match planner with
@@ -542,13 +538,7 @@ let trace_cmd =
         ~conditions:(conditions max_containers max_gb)
         schema
     in
-    let result =
-      if jobs > 1 then
-        Raqo_par.Pool.with_pool ~jobs (fun pool ->
-            Raqo.Cost_based.optimize_par opt pool relations)
-      else Raqo.Cost_based.optimize opt relations
-    in
-    match result with
+    match Raqo.Cost_based.optimize opt relations with
     | None ->
         print_endline "no feasible plan";
         exit 2
@@ -580,8 +570,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run one traced joint planning and print a per-span summary table")
     Term.(const run $ relations_pos $ planner_arg $ random_arg $ containers_arg
-          $ memory_arg $ jobs_opt_arg $ no_kernel_arg $ no_rewrite_arg $ engine_arg
-          $ adaptive_arg $ est_error_arg $ out_arg)
+          $ memory_arg $ no_kernel_arg $ no_rewrite_arg $ engine_arg $ adaptive_arg
+          $ est_error_arg $ out_arg)
 
 (* --------------------------------------------------------------- metrics *)
 

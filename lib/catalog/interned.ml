@@ -66,7 +66,7 @@ let names_of_mask t mask =
 
 (* ---- subset enumeration helpers -----------------------------------------
    Pure bit manipulation shared by every mask-based enumerator (DPsub,
-   exhaustive shapes, the parallel memo sweep). They live here rather than in
+   exhaustive shapes). They live here rather than in
    the planners so subset order is defined once: ascending for same-size
    subsets, descending for canonical splits. *)
 

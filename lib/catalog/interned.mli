@@ -55,7 +55,7 @@ val connected : t -> int -> bool
 (** {2 Subset enumeration}
 
     Pure bitmask helpers shared by every mask-based enumerator (DPsub,
-    exhaustive shape generation, the parallel memo sweep). They are
+    exhaustive shape generation). They are
     independent of any context; enumeration orders are part of the contract
     because the planners' first-wins tie-breaks depend on them. *)
 

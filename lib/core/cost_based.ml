@@ -13,7 +13,6 @@ type t = {
   rng : Raqo_util.Rng.t;
   randomized_params : Raqo_planner.Randomized.params;
   memoize : bool;
-  parallel_memo : bool;
   kernel : bool;
   rewrite : Rewrite.t option;
   rewrite_hints : Rewrite.hints;
@@ -28,7 +27,7 @@ let create ?(kind = Selinger) ?(seed = 42)
     ?(randomized_params = Raqo_planner.Randomized.default_params)
     ?(resource_strategy = Resource_planner.Hill_climb) ?(pruned = false) ?(cache = true)
     ?(lookup = Raqo_resource.Shared_plan_cache.Exact) ?(memoize = false) ?(kernel = true)
-    ?(parallel_memo = true) ?shared_cache ?(rewrite = true)
+    ?shared_cache ?(rewrite = true)
     ?(rewrite_hints = Rewrite.no_hints) ?(metrics = Raqo_obs.Metrics.default) ~model
     ~conditions schema =
   {
@@ -41,7 +40,6 @@ let create ?(kind = Selinger) ?(seed = 42)
     rng = Raqo_util.Rng.create seed;
     randomized_params;
     memoize;
-    parallel_memo;
     kernel;
     rewrite = (if rewrite then Some (Rewrite.create ~registry:metrics schema) else None);
     rewrite_hints;
@@ -90,8 +88,7 @@ let kind_span = function
   | Fast_randomized -> "plan/randomized"
 
 (* Top-level planning span + duration histogram; everything the planners and
-   resource searches record nests under this span (across domains too — the
-   pool re-parents its tasks to the submitting span). *)
+   resource searches record nests under this span. *)
 let instrumented t f =
   if not (Raqo_obs.Obs.enabled ()) then f ()
   else begin
@@ -158,70 +155,20 @@ let optimize t relations =
       | Some ctx -> run_planner_masked t (masked_coster t ctx) ctx
       | None -> run_planner t (coster t) relations)
 
-(* A fresh coster per restart/worker: the raqo coster's memo tables
-   (statistics and, when enabled, join memoization) are plain hashtables, and
-   the forked resource planner keeps cache and kernel scratch single-domain.
-   The shared atomic counters keep aggregate instrumentation meaningful. *)
-let restart_planner t = fun () -> Resource_planner.fork t.resource_planner
-
-let restart_coster t =
-  let planner = restart_planner t in
-  fun () -> wrap t (Coster.raqo t.model t.schema (planner ()))
-
-(* The interned context is immutable, so restarts on different domains share
-   it; each gets its own masked coster (private memo tables). *)
-let restart_masked_coster t ctx =
-  let planner = restart_planner t in
-  fun () -> wrap_masked t ctx (Coster.raqo_masked t.model ctx (planner ()))
-
-let optimize_par t pool relations =
-  match t.kind with
-  | Selinger -> optimize t relations
-  | Bushy_dp when not t.parallel_memo -> optimize t relations
-  | Bushy_dp ->
-      instrumented t (fun () ->
-          let t, relations = rewrite_query t relations in
-          match interned_ctx t relations with
-          | Some ctx ->
-              Raqo_planner.Dpsub.optimize_par_masked ~coster:(restart_masked_coster t ctx)
-                pool ctx
-          | None ->
-              (* The string path owns the validation errors for empty /
-                 unknown relation sets; >62-relation queries refuse there
-                 exactly as the sequential DP does. *)
-              run_planner t (coster t) relations)
-  | Fast_randomized ->
-      instrumented t (fun () ->
-          let t, relations = rewrite_query t relations in
-          match interned_ctx t relations with
-          | Some ctx ->
-              Raqo_planner.Randomized.optimize_par_masked ~params:t.randomized_params pool
-                t.rng
-                ~coster:(restart_masked_coster t ctx)
-                ctx
-          | None ->
-              Raqo_planner.Randomized.optimize_par ~params:t.randomized_params pool t.rng
-                ~coster:(restart_coster t) t.schema relations)
-
 (* Adaptive RAQO: [t] is the optimizer a user would build over the (possibly
    erroneous) estimate schema; [truth] is what execution actually encounters.
    Plan statically from the estimates, then execute with boundary
    re-optimization against the truth. The static plan, its estimated cost,
    and both simulated outcomes travel in the report. *)
-let optimize_adaptive ?pool ?replan_cost_s ~engine ~truth t relations =
-  let static =
-    match pool with
-    | Some pool -> optimize_par t pool relations
-    | None -> optimize t relations
-  in
+let optimize_adaptive ?replan_cost_s ~engine ~truth t relations =
   Option.map
     (fun (plan, est_cost) ->
       let report =
-        Raqo_adaptive.Adaptive_exec.run ?pool ?replan_cost_s ~kernel:t.kernel ~engine
+        Raqo_adaptive.Adaptive_exec.run ?replan_cost_s ~kernel:t.kernel ~engine
           ~model:t.model ~conditions:(conditions t) ~truth ~estimates:t.schema plan
       in
       (report, est_cost))
-    static
+    (optimize t relations)
 
 let optimize_qo t ~resources relations =
   instrumented t (fun () ->

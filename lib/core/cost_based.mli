@@ -35,19 +35,13 @@ type t
     (the CLI's [--no-kernel]) forces the scalar path; extended-space models
     never compile and use it regardless.
 
-    [parallel_memo] (default [true]) lets {!optimize_par} run the [Bushy_dp]
-    enumeration on the shared-memo parallel DP
-    ({!Raqo_planner.Dpsub.optimize_par_masked}); [false] pins it to the
-    sequential sweep regardless of the pool.
-
     [shared_cache] makes the embedded resource planner borrow a cross-query
-    {!Raqo_resource.Shared_plan_cache} instead of owning one: every fork
-    handed to parallel workers keeps the same cache, so concurrent
-    optimizers warm each other.
+    {!Raqo_resource.Shared_plan_cache} instead of owning one, so concurrent
+    optimizers lent the same cache warm each other.
 
     [rewrite] (default [true]) runs the {!Raqo_rewrite.Rewrite} logical
-    memo over every query before enumeration in {!optimize},
-    {!optimize_par} and (through them) {!optimize_adaptive}: predicate
+    memo over every query before enumeration in {!optimize} and (through
+    it) {!optimize_adaptive}: predicate
     pushdown, constant/FK absorption and projection narrowing, driven by
     [rewrite_hints]. With the default hints (no filters, everything
     referenced) no rule can fire and planning is bit-identical to
@@ -75,7 +69,6 @@ val create :
   ?lookup:Raqo_resource.Shared_plan_cache.lookup ->
   ?memoize:bool ->
   ?kernel:bool ->
-  ?parallel_memo:bool ->
   ?shared_cache:Raqo_resource.Shared_plan_cache.t ->
   ?rewrite:bool ->
   ?rewrite_hints:Raqo_rewrite.Rewrite.hints ->
@@ -99,31 +92,17 @@ val with_conditions : t -> Raqo_cluster.Conditions.t -> t
 val optimize :
   t -> string list -> (Raqo_plan.Join_tree.joint * float) option
 
-(** [optimize_par t pool relations] is {!optimize} with the search fanned
-    out across [pool]'s domains: the randomized planner's restarts, or — for
-    [Bushy_dp] with [parallel_memo] on — the DP levels of the shared-memo
-    enumeration ({!Raqo_planner.Dpsub.optimize_par_masked}). Each restart or
-    DP worker gets a fresh coster and a forked resource planner sharing
-    [t]'s atomic counters; with the default exact-match cache lookup the
-    result is bit-identical to {!optimize} on an equal-seed optimizer, for
-    any pool size. For [Selinger] — a single-pass left-deep sweep with
-    nothing to fan out — this simply calls {!optimize}. *)
-val optimize_par :
-  t -> Raqo_par.Pool.t -> string list -> (Raqo_plan.Join_tree.joint * float) option
-
-(** [optimize_adaptive ?pool ?replan_cost_s ~engine ~truth t relations]
+(** [optimize_adaptive ?replan_cost_s ~engine ~truth t relations]
     plans statically from [t]'s schema (the estimates — build [t] over an
     {!Raqo_execsim.Estimation_error}-perturbed schema to model misestimation)
     and then simulates the plan against [truth] twice: as-is, and with
     {!Raqo_adaptive.Adaptive_exec} re-optimizing the remaining join graph at
     every stage boundary whose observed cardinality contradicts its
     estimate. Returns the adaptive report with the static plan's estimated
-    cost; [None] when no feasible static plan exists. [pool] fans out both
-    the static optimization and every mid-flight re-plan. The report
+    cost; [None] when no feasible static plan exists. The report
     guarantees [adaptive.seconds <= static.seconds] (bitwise, re-planning
     cost included) and bit-identity under zero estimation error. *)
 val optimize_adaptive :
-  ?pool:Raqo_par.Pool.t ->
   ?replan_cost_s:float ->
   engine:Raqo_execsim.Engine.t ->
   truth:Raqo_catalog.Schema.t ->

@@ -6,7 +6,7 @@ type planned = {
   rewrite : Raqo_rewrite.Rewrite.report option;
 }
 
-let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
+let plan ?kind ?seed ?kernel ?adaptive ?shared_cache
     ?(rewrite = true) ?(metrics = Raqo_obs.Metrics.default) ~model ~conditions ~schema
     ~columns sql =
   (* Registry lookup per query, not per cost evaluation: cheap enough here,
@@ -30,7 +30,7 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
              projections additionally enable absorption and narrowing. *)
           let opt =
             if rewrite then
-              Cost_based.create ?kind ?seed ?kernel ?parallel_memo ?shared_cache
+              Cost_based.create ?kind ?seed ?kernel ?shared_cache
                 ~rewrite_hints:
                   {
                     Raqo_rewrite.Rewrite.filters =
@@ -39,16 +39,13 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
                   }
                 ~metrics ~model ~conditions schema
             else
-              Cost_based.create ?kind ?seed ?kernel ?parallel_memo ?shared_cache
+              Cost_based.create ?kind ?seed ?kernel ?shared_cache
                 ~rewrite:false ~metrics ~model ~conditions
                 analyzed.Raqo_sql.Resolver.schema
           in
           match
             Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                match pool with
-                | Some pool ->
-                    Cost_based.optimize_par opt pool analyzed.Raqo_sql.Resolver.relations
-                | None -> Cost_based.optimize opt analyzed.Raqo_sql.Resolver.relations)
+                Cost_based.optimize opt analyzed.Raqo_sql.Resolver.relations)
           with
           | Some (plan, est_cost) ->
               Ok
@@ -71,7 +68,7 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
           let truth = analyzed.Raqo_sql.Resolver.schema in
           let estimates = Raqo_execsim.Estimation_error.perturb error truth in
           let opt =
-            Cost_based.create ?kind ?seed ?kernel ?parallel_memo ?shared_cache ~rewrite
+            Cost_based.create ?kind ?seed ?kernel ?shared_cache ~rewrite
               ~rewrite_hints:
                 {
                   Raqo_rewrite.Rewrite.filters = [];
@@ -81,7 +78,7 @@ let plan ?kind ?seed ?kernel ?parallel_memo ?pool ?adaptive ?shared_cache
           in
           match
             Raqo_obs.Trace.with_ ~name:"sql/optimize" (fun () ->
-                Cost_based.optimize_adaptive ?pool ~engine ~truth opt
+                Cost_based.optimize_adaptive ~engine ~truth opt
                   analyzed.Raqo_sql.Resolver.relations)
           with
           | Some (report, est_cost) ->

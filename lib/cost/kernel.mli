@@ -78,8 +78,8 @@ val bound_at : t -> Raqo_cluster.Conditions.t -> i0:int -> i1:int -> j0:int -> j
     of a Selinger/DPsub run. Reuse is instrumented — [allocs] counts buffer
     (re)allocations, [reuses] counts sweeps served by an already-large-enough
     buffer — so tests and benches can assert the steady state allocates
-    nothing. Scratch is single-domain state; parallel searches keep their
-    own. *)
+    nothing. Scratch is single-domain state; planners on different domains
+    keep their own. *)
 
 type scratch
 

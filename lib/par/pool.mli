@@ -1,6 +1,8 @@
-(** A fixed-size pool of worker domains behind a mutex/condition work queue —
-    the substrate for every embarrassingly parallel hot path in the planner
-    (randomized restarts, brute-force resource grids, workload batches).
+(** A fixed-size pool of worker domains behind a mutex/condition work queue,
+    used for request-level parallelism only: each task plans one whole
+    request with its own optimizer (server waves, workload batches,
+    allocation surface builds). No single query's search is split across
+    domains.
 
     Design notes, load-bearing for callers:
 
@@ -24,9 +26,9 @@
       so spans opened inside tasks parent to the submitting span even when
       the task runs on another domain. Free when tracing is off.
 
-    Tasks must not share unsynchronized mutable state; every parallel entry
-    point in this library hands each task its own coster/planner/RNG and
-    reduces the results in the submitter. *)
+    Tasks must not share unsynchronized mutable state; every caller hands
+    each task its own optimizer and collects the results in the
+    submitter. *)
 
 type t
 
@@ -35,8 +37,9 @@ type t
     @raise Invalid_argument when [jobs < 1]. *)
 val create : jobs:int -> unit -> t
 
-(** [default_jobs ()] is the runtime's recommended domain count (capped at 8
-    — beyond that the planner's task grain is too fine to win). *)
+(** [default_jobs ()] is the runtime's recommended domain count, capped at
+    8: the most domains a pool can use without oversubscribing the host's
+    cores. *)
 val default_jobs : unit -> int
 
 (** [size t] is the pool's total parallelism (the [jobs] it was created
@@ -60,19 +63,7 @@ val run_list : t -> (unit -> 'a) list -> 'a list
     over the pool, results in input order. *)
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [parallel_mapi t f xs] is {!parallel_map} with the element index. *)
-val parallel_mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
-(** [parallel_reduce t ~map ~combine ~init xs] maps over [xs] on the pool,
-    then folds the mapped results {e sequentially, in input order} in the
-    submitter: [combine (... (combine init y0) ...) yn]. The fold order is
-    fixed so non-commutative combines (first-wins tie-breaks) match their
-    sequential counterparts exactly. *)
-val parallel_reduce :
-  t -> map:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-
 (** [chunks n xs] splits [xs] into at most [n] contiguous slices of
     near-equal length, preserving order ([List.concat (chunks n xs) = xs]);
-    fewer slices when [xs] is short. The partitioning helper for grid
-    searches. @raise Invalid_argument when [n < 1]. *)
+    fewer slices when [xs] is short. @raise Invalid_argument when [n < 1]. *)
 val chunks : int -> 'a list -> 'a list list

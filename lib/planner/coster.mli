@@ -61,8 +61,7 @@ val raqo :
     costers — every shipped coster keys its cost on the smaller side's size,
     so [best_join ~left ~right = best_join ~left:right ~right:left] — and it
     collapses the mirrored pairs Selinger's DP enumerates. The memo table is
-    a plain [Hashtbl]: use a memoized coster from one domain only (parallel
-    restarts each wrap their own instance). *)
+    a plain [Hashtbl]: use a memoized coster from one domain only. *)
 val memoize : t -> t
 
 (** [counting t] wraps [t] with an invocation counter (a plain [ref]: use from

@@ -186,16 +186,13 @@ let improve_costed ~params rng schema cost shape0 =
   !best
 
 (* Each restart gets its own generator split off the caller's, all splits
-   drawn upfront in restart order. The restarts are then independent: running
-   them on one domain or many yields bit-identical streams, which is what
-   makes [local_optima_par] equal to [local_optima] for a fixed seed. *)
+   drawn upfront in restart order, so the restarts are independent of one
+   another and of how many draws each one makes. *)
 let restart_rngs rng n = List.init n (fun _ -> Rng.split rng)
 
 let m_restarts = Raqo_obs.Metrics.counter "raqo_randomized_restarts_total"
 
-(* One span per restart — the unit of work the pool scatters across domains,
-   so a trace shows restart spans fanning out under the submitting planner
-   span (Pool installs the submitter's span as their parent). *)
+(* One span per restart, nested under the planner span that runs it. *)
 let run_restart ~params rng coster schema relations =
   let span = Raqo_obs.Trace.start "randomized/restart" in
   if Raqo_obs.Obs.enabled () then Raqo_obs.Metrics.Counter.inc m_restarts;
@@ -210,13 +207,6 @@ let local_optima ?(params = default_params) rng coster schema relations =
     (fun restart_rng -> run_restart ~params restart_rng coster schema relations)
     (restart_rngs rng params.iterations)
 
-let local_optima_par ?(params = default_params) pool rng ~coster schema relations =
-  if relations = [] then invalid_arg "Randomized.local_optima_par: empty relation set";
-  Raqo_par.Pool.parallel_map pool
-    (fun restart_rng -> run_restart ~params restart_rng (coster ()) schema relations)
-    (restart_rngs rng params.iterations)
-  |> List.filter_map Fun.id
-
 let pick_best optima =
   List.fold_left
     (fun best ((_, c) as cand) ->
@@ -227,9 +217,6 @@ let pick_best optima =
 
 let optimize ?(params = default_params) rng coster schema relations =
   pick_best (local_optima ~params rng coster schema relations)
-
-let optimize_par ?(params = default_params) pool rng ~coster schema relations =
-  pick_best (local_optima_par ~params pool rng ~coster schema relations)
 
 (* Mask-based variants: the search (shape generation, mutations, RNG
    splitting) is shared with the string seam above; only tree costing goes
@@ -252,14 +239,5 @@ let local_optima_masked ?(params = default_params) rng m ctx =
     (fun restart_rng -> run_restart_masked ~params restart_rng m ctx)
     (restart_rngs rng params.iterations)
 
-let local_optima_par_masked ?(params = default_params) pool rng ~coster ctx =
-  Raqo_par.Pool.parallel_map pool
-    (fun restart_rng -> run_restart_masked ~params restart_rng (coster ()) ctx)
-    (restart_rngs rng params.iterations)
-  |> List.filter_map Fun.id
-
 let optimize_masked ?(params = default_params) rng m ctx =
   pick_best (local_optima_masked ~params rng m ctx)
-
-let optimize_par_masked ?(params = default_params) pool rng ~coster ctx =
-  pick_best (local_optima_par_masked ~params pool rng ~coster ctx)

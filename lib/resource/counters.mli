@@ -3,9 +3,9 @@
     cache effectiveness, so every search threads one of these.
 
     Counters are {!Raqo_obs.Metrics.Counter} shards underneath (lock-free
-    per-domain cells merged on read): one instrument can be shared by tasks
-    running on different domains (pooled brute force, parallel randomized
-    restarts) without losing increments. Reads ({!cost_evaluations} etc.)
+    per-domain cells merged on read): one instrument can be shared by
+    planners running on different domains (batched workload planning,
+    server waves) without losing increments. Reads ({!cost_evaluations} etc.)
     are merged snapshots — exact once the parallel section has joined,
     approximate while it is in flight.
 

@@ -3,8 +3,8 @@ module Kernel = Raqo_cost.Kernel
 type strategy = Brute_force | Hill_climb
 
 (* The cache behind [plan], and whether this planner owns it: an owned cache
-   is per-planner state (forks get a fresh one, [clear_cache] empties it); a
-   borrowed one belongs to a resident server and is shared by every fork. *)
+   is per-planner state ([clear_cache] empties it); a borrowed one belongs to
+   a resident server and is shared by every planner it lends it to. *)
 type t = {
   conditions : Raqo_cluster.Conditions.t;
   strategy : strategy;
@@ -13,13 +13,12 @@ type t = {
   owned : bool;
   lookup : Shared_plan_cache.lookup;
   counters : Counters.t;
-  pool : Raqo_par.Pool.t option;
   use_kernel : bool;
   scratch : Kernel.scratch;
 }
 
 let create ?(strategy = Hill_climb) ?(pruned = false) ?(cache = true)
-    ?(lookup = Shared_plan_cache.Exact) ?counters ?pool ?(kernel = true) ?shared_cache
+    ?(lookup = Shared_plan_cache.Exact) ?counters ?(kernel = true) ?shared_cache
     ?registry conditions =
   {
     conditions;
@@ -32,28 +31,12 @@ let create ?(strategy = Hill_climb) ?(pruned = false) ?(cache = true)
     owned = Option.is_none shared_cache;
     lookup;
     counters = (match counters with Some k -> k | None -> Counters.create ?registry ());
-    pool;
     use_kernel = kernel;
     scratch = Kernel.create_scratch ();
   }
 
 let conditions t = t.conditions
 let with_conditions t conditions = { t with conditions }
-
-(* A private copy for another domain (or another restart): same
-   configuration and shared counters, but fresh single-domain state — a new
-   owned cache and, critically, fresh kernel scratch. A borrowed cache is
-   cross-query by design, so forks keep it: that sharing is the point of a
-   resident server. *)
-let fork t =
-  {
-    t with
-    cache =
-      (match t.cache with
-      | Some _ when t.owned -> Some (Shared_plan_cache.create ())
-      | cache -> cache);
-    scratch = Kernel.create_scratch ();
-  }
 
 let pruned t = t.pruned
 let kernel_enabled t = t.use_kernel
@@ -91,19 +74,16 @@ let search ?start ?bound ?kernel t cost =
   | Hill_climb, None -> Hill_climb.plan ~counters:t.counters ?start t.conditions cost
   | Brute_force, Some k ->
       (* Kernels compile only where region bounds exist (the paper feature
-         space), so the pruned planner never needs the caller's [bound] here;
-         the kernel path is single-domain by design — the sweep outruns the
-         pooled scalar scan, and results are identical either way. *)
+         space), so the pruned planner never needs the caller's [bound] here. *)
       if t.pruned then
         Brute_force.search_pruned_kernel ~counters:t.counters t.conditions ~kernel:k
           ~scratch:t.scratch
       else Brute_force.search_kernel ~counters:t.counters t.conditions ~kernel:k ~scratch:t.scratch
     | Brute_force, None -> begin
-        match (t.pruned, bound, t.pool) with
-        | true, Some bound, _ ->
+        match (t.pruned, bound) with
+        | true, Some bound ->
             Brute_force.search_pruned ~counters:t.counters t.conditions ~bound cost
-        | _, _, Some pool -> Brute_force.search_par ~counters:t.counters pool t.conditions cost
-        | _, _, None -> Brute_force.search ~counters:t.counters t.conditions cost
+        | _, _ -> Brute_force.search ~counters:t.counters t.conditions cost
       end
   in
   Raqo_obs.Trace.finish span;

@@ -6,21 +6,18 @@ type strategy = Brute_force | Hill_climb
 
 type t
 
-(** [create ?strategy ?pruned ?cache ?lookup ?counters ?pool conditions]
+(** [create ?strategy ?pruned ?cache ?lookup ?counters conditions]
     builds a planner. Defaults: hill climbing, no pruning, caching enabled,
-    exact-match lookup, private counters, no pool.
+    exact-match lookup, private counters.
 
     [pruned] switches the brute-force strategy to branch-and-bound
     ({!Brute_force.search_pruned}) whenever the caller supplies a cost lower
     bound to {!plan}; calls without a bound (and hill climbing) are
     unaffected, so results are always identical to the exhaustive scan —
     only the evaluation counts drop. [counters] shares an existing (atomic)
-    instrument — parallel randomized restarts give each restart its own
-    planner but one shared counter set so the aggregate figures survive.
-    [pool] parallelizes the unpruned brute-force grid search across its
-    domains (pruned search is sequential — its incumbent is inherently
-    serial — and hill climbing ignores the pool too). The cache, when
-    enabled, is an unbounded {!Shared_plan_cache} this planner owns.
+    instrument, so several planners can add to one set of aggregate
+    figures. The cache, when enabled, is an unbounded {!Shared_plan_cache}
+    this planner owns.
 
     [kernel] (default [true]) lets {!plan} use compiled cost kernels when
     the caller supplies one: grid sweeps and hill-climb probes run through
@@ -28,13 +25,10 @@ type t
     feature vectors — reusing one per-planner scratch buffer across calls so
     steady-state planning does zero grid allocation. [~kernel:false] forces
     the scalar path everywhere (the CLI's [--no-kernel] escape hatch).
-    Kernelised grid searches are single-domain: they ignore [pool], which
-    only shapes the scalar fallback.
 
     [shared_cache] makes the planner borrow a cross-query cache owned by a
-    resident server instead of owning one: {!fork} then shares it instead of
-    starting empty, {!clear_cache} leaves it alone, and [cache] is ignored.
-    [registry] directs the
+    resident server instead of owning one: {!clear_cache} leaves it alone,
+    and [cache] is ignored. [registry] directs the
     planner's counter mirrors at a per-server metrics registry when
     [counters] is not supplied (see {!Counters.create}). *)
 val create :
@@ -43,7 +37,6 @@ val create :
   ?cache:bool ->
   ?lookup:Shared_plan_cache.lookup ->
   ?counters:Counters.t ->
-  ?pool:Raqo_par.Pool.t ->
   ?kernel:bool ->
   ?shared_cache:Shared_plan_cache.t ->
   ?registry:Raqo_obs.Metrics.registry ->
@@ -68,16 +61,6 @@ val conditions : t -> Raqo_cluster.Conditions.t
 (** [with_conditions t conditions] shares the cache and counters but plans
     against new cluster conditions (adaptive re-optimization). *)
 val with_conditions : t -> Raqo_cluster.Conditions.t -> t
-
-(** [fork t] is a private copy for another domain or restart: identical
-    configuration (strategy, pruning, lookup, kernel setting, conditions)
-    and shared atomic counters, but a fresh, empty owned plan cache and
-    fresh kernel scratch — the two pieces of per-planner state. A planner
-    created over a [shared_cache] keeps that cache across forks —
-    cross-query, cross-domain reuse is what borrowing it is for. With the default exact-match
-    cache lookup a fork returns the same (configuration, cost) answers as
-    the original, so parallel planners hand one fork to each worker. *)
-val fork : t -> t
 
 (** [plan t ~key ~data_gb ~cost] returns the chosen configuration and its
     cost. [key] identifies the (cost model, sub-plan kind) cache index, e.g.

@@ -7,7 +7,7 @@
     the per-apply report as [absorbed]). The surviving groups — with their
     folded cardinalities and narrowed widths — are what the physical
     planners enumerate, so every rule that fires shrinks the DP lattice the
-    PR-6 shared memo has to claim.
+    bushy DP has to sweep.
 
     Rule catalogue, applied in a deterministic order:
 

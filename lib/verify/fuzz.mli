@@ -28,7 +28,6 @@ val shrink :
     single failing error spec (if any single distribution suffices), and the
     diagnostics of that narrowest still-failing configuration. *)
 val shrink_adaptive :
-  ?jobs:int list ->
   ?fault:Oracle.masked_fault ->
   Oracle.instance ->
   string list * string option * Diagnostic.t list
@@ -37,8 +36,7 @@ val shrink_adaptive :
 val report : ?jobs:int list -> ?fault:Oracle.fault -> Oracle.instance -> report
 
 (** [report_adaptive t] is {!shrink_adaptive} packaged with the instance. *)
-val report_adaptive :
-  ?jobs:int list -> ?fault:Oracle.masked_fault -> Oracle.instance -> report
+val report_adaptive : ?fault:Oracle.masked_fault -> Oracle.instance -> report
 
 (** [render r] formats a failure as a self-contained repro block: seed,
     generation parameters, original and minimized query, the isolated error
@@ -50,7 +48,8 @@ val render : report -> string
     checks seeds [start .. start + seeds - 1] and returns a shrunk report
     per failing seed. [adaptive] (default false) swaps in
     {!Oracle.check_adaptive} ([fault] applies to the classic oracle only).
-    [progress] is invoked once per seed. *)
+    [jobs] lists the pool sizes the allocator arm rebuilds its surfaces on
+    ({!Oracle.check_alloc}); the adaptive mode ignores it. [progress] is invoked once per seed. *)
 val run :
   ?tables:int ->
   ?joins:int ->

@@ -2,8 +2,8 @@
     is driven through every planner (Selinger, pruned Selinger, memoized
     Selinger, DPsub, exhaustive, randomized Trummer–Koch), every
     resource-planning mode (fixed two-step baseline, joint brute force with
-    and without the resource-plan cache, joint hill climbing), and both
-    sequential and parallel execution ([jobs]); the relations that must hold
+    and without the resource-plan cache, joint hill climbing); the relations
+    that must hold
     between their answers are asserted and every violation reported as a
     {!Diagnostic.t}.
 
@@ -15,8 +15,6 @@
     - DPsub <= randomized search; Selinger <= greedy left-deep;
     - bound-pruned Selinger = plain Selinger (non-negative floored costs);
     - memoized coster = plain coster, and never more underlying lookups;
-    - parallel randomized restarts and partitioned brute-force grids are
-      bit-identical to their sequential counterparts for a fixed seed;
     - joint brute force <= joint hill climbing <= nothing (local optima),
       and joint brute force <= the fixed baseline at an in-grid config;
     - exact-lookup caching does not change the brute-force joint optimum;
@@ -46,8 +44,8 @@ val pp_instance : Format.formatter -> instance -> unit
 (** A fault injects a wrapper around the coster of the named oracle arm —
     the hook tests use to prove the oracle catches broken costers (arms:
     ["selinger"], ["selinger-pruned"], ["selinger-memo"], ["dpsub"],
-    ["exhaustive"], ["randomized"], ["randomized-par"], ["greedy"],
-    ["raqo-bf"], ["raqo-bf-nocache"], ["raqo-bf-par"], ["raqo-hc"]). *)
+    ["exhaustive"], ["randomized"], ["greedy"], ["raqo-bf"],
+    ["raqo-bf-nocache"], ["raqo-hc"]). *)
 type fault = arm:string -> Raqo_planner.Coster.t -> Raqo_planner.Coster.t
 
 val no_fault : fault
@@ -61,11 +59,9 @@ val fixed_resources : Raqo_cluster.Resources.t
 (** The floored (non-negative) paper cost model the oracle costs with. *)
 val model : Raqo_cost.Op_cost.t
 
-(** [check ?jobs ?fault t] runs every arm and returns the violated
-    invariants ([] = the instance is consistent). [jobs] lists the pool
-    sizes for the parallel arms (default [[2; 4]]; values [<= 1] are
-    skipped). *)
-val check : ?jobs:int list -> ?fault:fault -> instance -> Diagnostic.t list
+(** [check ?fault t] runs every arm and returns the violated invariants
+    ([] = the instance is consistent). *)
+val check : ?fault:fault -> instance -> Diagnostic.t list
 
 (** A fault seam for the adaptive arm: wraps every *re-planning* coster
     inside {!Raqo_adaptive.Adaptive_exec.run}. A wrapper that raises forces
@@ -83,7 +79,7 @@ val adaptive_dists : Raqo_execsim.Estimation_error.dist list
     arm uses for instance [seed] (printed in fuzz repros). *)
 val adaptive_error_seed : int -> int
 
-(** [check_adaptive ?jobs ?dists ?fault t] runs the runtime-adaptive
+(** [check_adaptive ?dists ?fault t] runs the runtime-adaptive
     re-optimization arm: for every error distribution, a static plan is
     optimized from the perturbed estimate schema (Selinger always, bushy DP
     for queries of [<= 10] relations) and executed against the ground truth
@@ -93,10 +89,8 @@ val adaptive_error_seed : int -> int
     - zero error ([Exact]) fires no re-plan and leaves plan and outcome
       bit-identical to static;
     - adaptive latency [<=] static latency as plain floats (re-planning cost
-      included), and a completed static run is never turned into a failure;
-    - the report is bit-identical at every pool size in [jobs]. *)
+      included), and a completed static run is never turned into a failure. *)
 val check_adaptive :
-  ?jobs:int list ->
   ?dists:Raqo_execsim.Estimation_error.dist list ->
   ?fault:masked_fault ->
   instance ->

@@ -139,15 +139,17 @@ let test_cache_lookup_checker_passes_on_real_cache () =
 
 (* ---------------------------------------------------- differential oracle *)
 
-(* Sequential-only oracle runs keep the unit tests fast; the parallel arms
-   get their own dedicated test below. *)
+(* Sequential-only fuzz runs keep the unit tests fast; the allocator arm's
+   pooled surface rebuild gets its own dedicated test below. *)
 let seq_jobs = []
 
 let test_oracle_clean_instance () =
-  check_clean "a clean instance" (Oracle.check ~jobs:seq_jobs (Oracle.instance 1))
+  check_clean "a clean instance" (Oracle.check (Oracle.instance 1))
 
 let test_oracle_clean_parallel_arms () =
-  check_clean "a clean instance with parallel arms" (Oracle.check ~jobs:[ 2 ] (Oracle.instance 3))
+  let t = Oracle.instance 3 in
+  check_clean "a clean instance with parallel arms"
+    (Oracle.check t @ Oracle.check_alloc ~jobs:[ 2 ] t)
 
 (* The acceptance-criterion fault: a sign-flipped cost term in one arm's
    coster. The oracle must notice both the impossible (negative) plan cost
@@ -165,7 +167,7 @@ let sign_flip ~arm coster =
   else coster
 
 let test_oracle_catches_sign_flip () =
-  let diags = Oracle.check ~jobs:seq_jobs ~fault:sign_flip (Oracle.instance 5) in
+  let diags = Oracle.check ~fault:sign_flip (Oracle.instance 5) in
   check_has "cost/negative" diags;
   check_has "oracle/dpsub-above-selinger" diags
 
@@ -184,7 +186,7 @@ let test_oracle_catches_memo_drift () =
       }
     else coster
   in
-  check_has "oracle/memo-vs-plain" (Oracle.check ~jobs:seq_jobs ~fault:drift (Oracle.instance 5))
+  check_has "oracle/memo-vs-plain" (Oracle.check ~fault:drift (Oracle.instance 5))
 
 let test_oracle_catches_broken_joint_arm () =
   (* Overstating every joint cost makes "joint <= fixed baseline" fail. *)
@@ -200,7 +202,7 @@ let test_oracle_catches_broken_joint_arm () =
       }
     else coster
   in
-  let diags = Oracle.check ~jobs:seq_jobs ~fault:inflate (Oracle.instance 5) in
+  let diags = Oracle.check ~fault:inflate (Oracle.instance 5) in
   Alcotest.(check bool)
     (Printf.sprintf "some oracle/raqo-* relation violated in:\n%s" (Diagnostic.render diags))
     true
