@@ -1,7 +1,7 @@
 (* The request-level multicore layer: pool semantics (ordering, exceptions,
-   nesting), atomic counters under contention, allocation-free kernel sweeps
-   on pool workers, and the oracle tests pinning pooled workload batches to
-   their sequential result. *)
+   nesting), atomic counters and their registry mirrors under contention,
+   allocation-free kernel sweeps on pool workers, and the oracle tests
+   pinning pooled workload batches to their sequential result. *)
 
 module Pool = Raqo_par.Pool
 module Counters = Raqo_resource.Counters
@@ -129,6 +129,46 @@ let test_counters_concurrent () =
   Alcotest.(check int) "hits" 64 (Counters.cache_hits k);
   Alcotest.(check int) "misses" 64 (Counters.cache_misses k);
   Alcotest.(check int) "invocations" 64 (Counters.planner_invocations k)
+
+(* ------------------------------------------------------- instrumentation *)
+
+let test_registry_mirrors_concurrent () =
+  (* With observability on, instruments recorded from many domains at once
+     must mirror every increment into their registry: a resident server
+     binds its instruments to a private registry and plans waves on pool
+     workers. The registry is fresh, so it holds exactly this test's work. *)
+  let registry = Raqo_obs.Metrics.create_registry () in
+  let mirrored name =
+    Raqo_obs.Metrics.Counter.value (Raqo_obs.Metrics.counter_in registry name)
+  in
+  let default_invocations () =
+    Raqo_obs.Metrics.Counter.value (Raqo_obs.Metrics.counter "raqo_planner_invocations_total")
+  in
+  let default0 = default_invocations () in
+  let ks = List.init 4 (fun _ -> Counters.create ~registry ()) in
+  Raqo_obs.Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Raqo_obs.Obs.set_enabled false)
+    (fun () ->
+      Pool.with_pool ~jobs:4 (fun pool ->
+          ignore
+            (Pool.parallel_map pool
+               (fun i ->
+                 let k = List.nth ks (i mod 4) in
+                 Counters.record_evaluations k 10;
+                 Counters.record_hit k;
+                 Counters.record_miss k;
+                 Counters.record_eviction k;
+                 Counters.record_invocation k)
+               (List.init 64 (fun i -> i)))));
+  let total f = List.fold_left (fun acc k -> acc + f k) 0 ks in
+  Alcotest.(check int) "instrument evaluations" 640 (total Counters.cost_evaluations);
+  Alcotest.(check int) "evaluations mirrored" 640 (mirrored "raqo_cost_evaluations_total");
+  Alcotest.(check int) "hits mirrored" 64 (mirrored "raqo_plan_cache_hits_total");
+  Alcotest.(check int) "misses mirrored" 64 (mirrored "raqo_plan_cache_misses_total");
+  Alcotest.(check int) "evictions mirrored" 64 (mirrored "raqo_plan_cache_evictions_total");
+  Alcotest.(check int) "invocations mirrored" 64 (mirrored "raqo_planner_invocations_total");
+  Alcotest.(check int) "default registry untouched" default0 (default_invocations ())
 
 (* ------------------------------------------------------------ allocation *)
 
@@ -325,6 +365,11 @@ let () =
         ] );
       ( "counters",
         [ Alcotest.test_case "atomic under contention" `Quick test_counters_concurrent ] );
+      ( "instrumentation",
+        [
+          Alcotest.test_case "registry mirrors under contention" `Quick
+            test_registry_mirrors_concurrent;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "kernel sweep allocation-free on a worker" `Quick
